@@ -42,6 +42,7 @@ HOT_PATH_MODULES = (
     "repro.sim.node",
     "repro.membership.gossip",
     "repro.obs.registry",
+    "repro.obs.lifecycle",
     "repro.wire.codec",
 )
 

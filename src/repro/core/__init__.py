@@ -43,12 +43,12 @@ from .coalesce import (
     JumboDatagram,
     coalesce,
 )
-from .events import EventHub
 from .flow_control import FlowControlDecision, new_message_budget, updated_fcc
 from .messages import DataMessage, Token, initial_token
 from .packing import ITEM_HEADER_BYTES, PackedItem, PackedPayload, pack_next
 from .participant import Participant, ParticipantStats
 from .priority import PriorityTracker
+from .probe import Probe
 from .retransmit import RetransmitTracker
 from .ring import Ring
 
@@ -59,7 +59,7 @@ __all__ = [
     "Action", "SendData", "SendToken", "Deliver", "Discard",
     "deliveries", "sends", "token_of",
     "ReceiveBuffer", "DeliveryEngine", "PriorityTracker", "RetransmitTracker",
-    "EventHub", "FlowControlDecision", "new_message_budget", "updated_fcc",
+    "Probe", "FlowControlDecision", "new_message_budget", "updated_fcc",
     "AcceleratedWindowTuner", "TunerConfig",
     "PackedPayload", "PackedItem", "pack_next", "ITEM_HEADER_BYTES",
     "JumboDatagram", "coalesce", "DEFAULT_JUMBO_BYTES", "JUMBO_ENTRY_BYTES",

@@ -19,9 +19,10 @@ loss it converges to original-ring behaviour.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
-from . import events as ev
 from .participant import Participant
+from .probe import Probe
 
 
 @dataclass(slots=True)
@@ -40,11 +41,12 @@ class TunerConfig:
     max_window: int = 0  # 0 means "use the personal window"
 
 
-class AcceleratedWindowTuner:
+class AcceleratedWindowTuner(Probe):
     """Wires AIMD control of one participant's accelerated window.
 
-    Subscribes to the participant's event hub; no protocol changes are
-    required, and the tuner can be attached or detached at any time.
+    Installs itself as the participant's probe; no protocol changes are
+    required.  Detach it at any time with ``participant.probe = None``
+    and re-attach with ``participant.probe = tuner``.
     """
 
     __slots__ = ("participant", "config", "_max_window",
@@ -52,7 +54,8 @@ class AcceleratedWindowTuner:
                  "epochs", "increases", "decreases")
 
     def __init__(self, participant: Participant,
-                 config: TunerConfig = TunerConfig()) -> None:
+                 config: Optional[TunerConfig] = None) -> None:
+        config = config or TunerConfig()
         self.participant = participant
         self.config = config
         self._max_window = config.max_window or participant.config.personal_window
@@ -61,27 +64,23 @@ class AcceleratedWindowTuner:
         self.epochs = 0
         self.increases = 0
         self.decreases = 0
-        participant.hub.subscribe(ev.TOKEN_HANDLED, self._on_token_handled)
-        participant.hub.subscribe(ev.RETRANSMISSION_SENT, self._on_retransmission)
+        participant.probe = self
 
     @property
     def window(self) -> int:
         return self.participant.accelerated_window
 
-    # -- event handlers ----------------------------------------------------
+    # -- probe hooks -------------------------------------------------------
 
-    def _on_retransmission(self, pid: int, message) -> None:
-        if pid != self.participant.pid:
-            return
+    def retransmission_sent(self, pid: int, message) -> None:
         # Somebody requested one of our messages again.  Only post-token
         # messages implicate the overlap; pre-token losses happen to the
         # original protocol too and must not shrink the window.
-        if message.pid == self.participant.pid and message.sent_after_token:
+        if message.pid == pid and message.sent_after_token:
             self._own_post_token_losses += 1
 
-    def _on_token_handled(self, pid: int, *_args) -> None:
-        if pid != self.participant.pid:
-            return
+    def token_handled(self, pid: int, received, sent, allowed_new: int,
+                      retransmissions: int) -> None:
         self._rounds_in_epoch += 1
         if self._rounds_in_epoch < self.config.epoch_rounds:
             return

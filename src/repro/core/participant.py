@@ -27,19 +27,18 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Deque, List, Optional, Tuple
+from typing import Any, Deque, List, Optional, Tuple
 
-from . import events as ev
 from .actions import Action, Deliver, Discard, SendData, SendToken
 from .buffer import ReceiveBuffer
 from .config import ProtocolConfig, Service
 from .delivery import DeliveryEngine
 from .errors import TokenError
-from .events import EventHub
 from .flow_control import new_message_budget, updated_fcc
 from .messages import DataMessage, Token
 from .packing import pack_next
 from .priority import PriorityTracker
+from .probe import Probe, ProbeSlot
 from .retransmit import RetransmitTracker
 from .ring import Ring
 
@@ -75,27 +74,28 @@ class Participant:
     """One member of an established ring running the ordering protocol."""
 
     __slots__ = (
-        "pid", "ring", "config", "hub", "stats",
+        "pid", "ring", "config", "stats", "_probe",
         "_buffer", "_delivery", "_retransmit", "_priority", "_pending",
         "_accelerated_window", "_last_received_hop", "_sent_last_round",
         "_last_token_sent", "_max_round_seen",
-        "_trace_sent", "_trace_received", "_trace_token",
     )
+
+    #: The installed :class:`~repro.core.probe.Probe`, or None.
+    probe = ProbeSlot()
 
     def __init__(
         self,
         pid: int,
         ring: Ring,
         config: Optional[ProtocolConfig] = None,
-        hub: Optional[EventHub] = None,
     ) -> None:
         if pid not in ring:
             raise TokenError("participant %r not on ring %r" % (pid, ring.members))
         self.pid = pid
         self.ring = ring
         self.config = config or ProtocolConfig()
-        self.hub = hub or EventHub()
         self.stats = ParticipantStats()
+        self._probe: Optional[Probe] = None
 
         self._buffer = ReceiveBuffer()
         self._delivery = DeliveryEngine()
@@ -112,32 +112,6 @@ class Participant:
         self._sent_last_round = 0
         self._last_token_sent: Optional[Token] = None
         self._max_round_seen = 0
-        # Direct trace callbacks (repro.obs.lifecycle).  These bypass
-        # the event hub for the per-message stages a lifecycle tracer
-        # stamps: with only a tracer attached ``hub.active`` stays
-        # False, so every other gated emit keeps its counter-only fast
-        # path.  None when no tracer is attached — the three call sites
-        # pay one ``is not None`` test each.
-        self._trace_sent: Optional[Callable] = None
-        self._trace_received: Optional[Callable] = None
-        self._trace_token: Optional[Callable] = None
-
-    def set_trace_callbacks(
-        self,
-        sent: Optional[Callable] = None,
-        received: Optional[Callable] = None,
-        token: Optional[Callable] = None,
-    ) -> None:
-        """Install lifecycle-trace callbacks (see repro.obs.lifecycle).
-
-        ``sent(message)`` fires once per initiated message,
-        ``received(message)`` once per NEW data message accepted into
-        the buffer (duplicates are skipped), ``token(token_out,
-        allowed_new)`` once per regular-token handling.
-        """
-        self._trace_sent = sent
-        self._trace_received = received
-        self._trace_token = token
 
     # ------------------------------------------------------------------
     # Application-facing API
@@ -182,7 +156,7 @@ class Participant:
         counters) exactly as a fresh participant would start, while
         keeping what survives a configuration change: the application
         backlog (un-sent messages carry over), cumulative stats, and the
-        event hub.  The priority tracker is re-seeded with the NEW ring's
+        probe.  The priority tracker is re-seeded with the NEW ring's
         geometry — size, predecessor, and our index all change with the
         membership, and the trigger arithmetic must follow.
         """
@@ -291,11 +265,11 @@ class Participant:
         if token.hop <= self._last_received_hop:
             # A retransmitted token we already handled.
             self.stats.duplicate_tokens += 1
-            self.hub.emit(ev.DUPLICATE_TOKEN, self.pid, token)
             return []
         self._last_received_hop = token.hop
         my_hop = token.hop + 1
         actions: List[Action] = []
+        probe = self._probe
 
         # -- 1. pre-token phase: retransmissions first ------------------
         answered, remaining_requests = self._retransmit.answer_requests(
@@ -304,7 +278,8 @@ class Participant:
         for message in answered:
             actions.append(SendData(message, retransmission=True))
             self.stats.retransmissions_sent += 1
-            self.hub.emit(ev.RETRANSMISSION_SENT, self.pid, message)
+            if probe is not None:
+                probe.retransmission_sent(self.pid, message)
         num_retrans = len(answered)
 
         # -- flow control: how many new messages this round -------------
@@ -360,16 +335,10 @@ class Participant:
 
         self._priority.note_token_handled(my_hop)
         self.stats.tokens_handled += 1
-        if self._trace_token is not None:
-            self._trace_token(token_out, decision.allowed_new)
-        hub = self.hub
-        if hub.active:
-            hub.emit(
-                ev.TOKEN_HANDLED, self.pid, token, token_out,
-                decision.allowed_new, num_retrans,
+        if probe is not None:
+            probe.token_handled(
+                self.pid, token, token_out, decision.allowed_new, num_retrans,
             )
-        else:
-            hub.counts[ev.TOKEN_HANDLED] += 1
         return actions
 
     # ------------------------------------------------------------------
@@ -389,32 +358,16 @@ class Participant:
         if not priority._token_high and message.pid == priority._predecessor:
             priority.note_data_processed(message)
         stats = self.stats
-        hub = self.hub
-        active = hub.active
-        counts = hub.counts
         if not is_new:
             stats.data_duplicates += 1
-            if active:
-                hub.emit(ev.DATA_RECEIVED, self.pid, message, False)
-            else:
-                counts[ev.DATA_RECEIVED] += 1
             return []
         stats.data_received += 1
-        if self._trace_received is not None:
-            self._trace_received(message)
-        if active:
-            hub.emit(ev.DATA_RECEIVED, self.pid, message, True)
-        else:
-            counts[ev.DATA_RECEIVED] += 1
+        if self._probe is not None:
+            self._probe.data_received(self.pid, message)
         deliverable = self._delivery.collect_deliverable(self._buffer)
         if not deliverable:
             return []
         stats.delivered += len(deliverable)
-        if active:
-            for delivered in deliverable:
-                hub.emit(ev.MESSAGE_DELIVERED, self.pid, delivered)
-        else:
-            counts[ev.MESSAGE_DELIVERED] += len(deliverable)
         return [Deliver(delivered) for delivered in deliverable]
 
     # ------------------------------------------------------------------
@@ -465,29 +418,22 @@ class Participant:
         split = len(messages) - post_count
         pre = messages[:split]
         post = [m.as_post_token() for m in messages[split:]]
-        hub = self.hub
-        active = hub.active
-        trace_sent = self._trace_sent
+        probe = self._probe
         for message in pre + post:
             # Our own messages are in our buffer from the moment they are
             # prepared (the loopback copy, if any, is a duplicate).
             self._buffer.insert(message)
             self.stats.messages_initiated += 1
-            if trace_sent is not None:
-                trace_sent(message)
-            if active:
-                hub.emit(ev.MESSAGE_SENT, self.pid, message)
-            else:
-                hub.counts[ev.MESSAGE_SENT] += 1
+            if probe is not None:
+                probe.message_sent(self.pid, message)
         return pre, post
 
     def _my_retransmission_requests(self) -> List[int]:
         missing = self._retransmit.my_new_requests(self._buffer)
         if missing:
             self.stats.retransmissions_requested += len(missing)
-            self.hub.emit(
-                ev.RETRANSMISSION_REQUESTED, self.pid, tuple(missing)
-            )
+            if self._probe is not None:
+                self._probe.retransmission_requested(self.pid, tuple(missing))
         return missing
 
     def _updated_aru(self, token: Token, new_seq: int) -> Tuple[int, Optional[int]]:
@@ -514,21 +460,14 @@ class Participant:
 
     def _deliver_and_discard(self) -> List[Action]:
         actions: List[Action] = []
-        hub = self.hub
-        active = hub.active
         for delivered in self._delivery.collect_deliverable(self._buffer):
             actions.append(Deliver(delivered))
             self.stats.delivered += 1
-            if active:
-                hub.emit(ev.MESSAGE_DELIVERED, self.pid, delivered)
-            else:
-                hub.counts[ev.MESSAGE_DELIVERED] += 1
         discard_to = self._delivery.discardable_upto()
         released = self._buffer.discard_upto(discard_to)
         if released:
             actions.append(Discard(discard_to))
             self.stats.discarded += released
-            self.hub.emit(ev.MESSAGES_DISCARDED, self.pid, discard_to)
         return actions
 
     def __repr__(self) -> str:

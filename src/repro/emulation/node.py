@@ -27,6 +27,7 @@ from ..core import (
     Token,
     initial_token,
 )
+from ..core.probe import Probe, ProbeSlot
 from .transport import UdpTransport
 
 
@@ -35,6 +36,11 @@ class EmulatedNode(threading.Thread):
 
     #: Socket poll granularity; bounds timer latency, not throughput.
     POLL_INTERVAL_S = 0.001
+
+    #: The driver-stage probe, as on ``SimNode``; install before
+    #: start().  ``delivered`` receives raw ``time.monotonic()``
+    #: readings (the tracer holds the epoch).
+    probe = ProbeSlot()
 
     def __init__(
         self,
@@ -60,23 +66,7 @@ class EmulatedNode(threading.Thread):
         self._token_sent_at: Optional[float] = None
         self._token_resends = 0
         self.tokens_resent = 0
-        # Lifecycle-trace hooks (repro.obs.lifecycle), None when no
-        # tracer is attached — same contract as SimNode.
-        self._trace_send = None
-        self._trace_delivery = None
-        self._trace_coalesce = None
-
-    def set_trace_hooks(self, send=None, delivery=None,
-                        coalesce=None) -> None:
-        """Install lifecycle-trace driver hooks (attach before start()).
-
-        Same contract as ``SimNode.set_trace_hooks``; ``delivery``
-        receives raw ``time.monotonic()`` readings (the tracer holds
-        the epoch).
-        """
-        self._trace_send = send
-        self._trace_delivery = delivery
-        self._trace_coalesce = coalesce
+        self._probe: Optional[Probe] = None
 
     # -- application API (any thread) -------------------------------------
 
@@ -148,9 +138,8 @@ class EmulatedNode(threading.Thread):
         # before any other action so the token keeps its place after the
         # pre-token sends (that ordering IS the acceleration).
         jumbo_cap = self.config.jumbo_datagram_bytes
-        trace_send = self._trace_send
-        trace_delivery = self._trace_delivery
-        if trace_delivery is not None:
+        probe = self._probe
+        if probe is not None:
             # The participant returned this batch at the current
             # instant: every Deliver in it was ordered (released) now.
             t_ordered = time.monotonic()
@@ -159,9 +148,9 @@ class EmulatedNode(threading.Thread):
             if isinstance(action, SendData):
                 if jumbo_cap is None:
                     self.transport.send_data(action.message)
-                    if trace_send is not None:
-                        trace_send(action.message, action.retransmission,
-                                   False)
+                    if probe is not None:
+                        probe.multicast(action.message, action.retransmission,
+                                        False)
                 else:
                     batch.append(action.message)
                 continue
@@ -177,8 +166,9 @@ class EmulatedNode(threading.Thread):
                 self._token_resends = 0
             elif isinstance(action, Deliver):
                 self.delivered.put(action.message)
-                if trace_delivery is not None:
-                    trace_delivery(action.message, t_ordered, time.monotonic())
+                if probe is not None:
+                    probe.delivered(action.message, t_ordered,
+                                    time.monotonic())
             elif isinstance(action, Discard):
                 pass
         if batch:
@@ -186,13 +176,13 @@ class EmulatedNode(threading.Thread):
 
     def _flush_batch(self, batch: List[DataMessage], jumbo_cap: int) -> None:
         self.transport.send_data_batch(batch, jumbo_cap)
-        trace_send = self._trace_send
-        if trace_send is not None:
+        probe = self._probe
+        if probe is not None:
             coalesced = len(batch) > 1
-            if coalesced and self._trace_coalesce is not None:
-                self._trace_coalesce(batch)
+            if coalesced:
+                probe.coalesced(batch)
             for message in batch:
-                trace_send(message, False, coalesced)
+                probe.multicast(message, False, coalesced)
 
     def _maybe_retransmit_token(self) -> None:
         participant = self.participant

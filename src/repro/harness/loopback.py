@@ -20,7 +20,6 @@ from ..core import (
     DataMessage,
     Deliver,
     Discard,
-    EventHub,
     Participant,
     ProtocolConfig,
     Ring,
@@ -50,14 +49,12 @@ class LoopbackRing:
         drop_data: Optional[DataDropRule] = None,
         drop_token: Optional[TokenDropRule] = None,
         check_stability: bool = True,
-        hub: Optional[EventHub] = None,
         on_deliver: Optional[Callable[[int, DataMessage], None]] = None,
     ) -> None:
         self.ring = Ring.of(pids)
         self.config = config or ProtocolConfig()
-        self.hub = hub or EventHub()
         self.participants: Dict[int, Participant] = {
-            pid: Participant(pid, self.ring, self.config, self.hub) for pid in self.ring
+            pid: Participant(pid, self.ring, self.config) for pid in self.ring
         }
         self._token_inbox: Dict[int, Deque[Token]] = {p: deque() for p in self.ring}
         self._data_inbox: Dict[int, Deque[DataMessage]] = {p: deque() for p in self.ring}

@@ -10,25 +10,24 @@ in both worlds.
 
 Stage taxonomy (the paper's Section III message path)::
 
-    id  stage            stamped at                        by
-    0   originated       application submit time           participant cb (retroactive)
-    1   packed           protocol packet built from queue  participant cb
-    2   coalesced        message entered a jumbo datagram  driver hook
-    3   token_granted    initiator's token handling        participant cb
-    4   multicast        NIC accepted the datagram         driver hook
-    5   received         first arrival at a remote node    participant cb
-    6   ordered          delivery engine released it       driver hook
-    7   delivered_agreed driver executed Agreed delivery   driver hook
-    8   delivered_safe   driver executed Safe delivery     driver hook
-    9   token_handled    any node handled the token        participant cb
+    id  stage            stamped at                        by probe hook
+    0   originated       application submit time           message_sent (retroactive)
+    1   packed           protocol packet built from queue  message_sent
+    2   coalesced        message entered a jumbo datagram  coalesced (driver)
+    3   token_granted    initiator's token handling        message_sent
+    4   multicast        NIC accepted the datagram         multicast (driver)
+    5   received         first arrival at a remote node    data_received
+    6   ordered          delivery engine released it       delivered (driver)
+    7   delivered_agreed driver executed Agreed delivery   delivered (driver)
+    8   delivered_safe   driver executed Safe delivery     delivered (driver)
+    9   token_handled    any node handled the token        token_handled
 
-(``ordered`` and ``delivered_*`` are one combined driver hook for
-speed — they are the two highest-volume stages, one pair per delivered
-message per node.  The driver captures the participant-return instant
-— the same instant the hub's MESSAGE_DELIVERED event fires — and after
-the delivery executes makes a single hook call that packs both records
-at once, so the pair costs one Python call, one struct pack and one
-buffer append instead of two hub dispatches.)
+(``ordered`` and ``delivered_*`` come from one driver hook for speed —
+they are the two highest-volume stages, one pair per delivered message
+per node.  The driver captures the instant the participant returned the
+Deliver action and, after the delivery executes, makes a single hook
+call that packs both records at once: one Python call, one struct pack
+and one buffer append for the pair.)
 
 Record fields: ``node`` is the observing pid, ``origin``/``seq``
 identify the message ((origin, seq) is unique per run), and for
@@ -42,31 +41,32 @@ and ``origin`` is -1.  ``aux`` is a stage-specific flag word:
 * ``ordered``: bit 0 = Safe service.
 * ``packed``: the number of application messages in the packet.
 * ``token_handled``: the flow-control budget granted this handling
-  (``allowed_new``) — trace-analyze's overlap denominator, matching
-  :class:`repro.sim.trace.RoundTracer` exactly.
+  (``allowed_new``) — trace-analyze's overlap denominator.
 
 ``originated`` is stamped *retroactively*: when the initiator's
-MESSAGE_SENT event fires, the stamp reuses ``message.submitted_at``
+``message_sent`` hook fires, the stamp reuses ``message.submitted_at``
 (the driver clock at application submit).  The submit hot path itself
 carries zero tracing cost, and the originated→delivered telescoping sum
 equals the latency recorder's end-to-end sample exactly.
 
-Cost model: when no tracer is attached, the drivers' hook attributes
-and the participants' trace callbacks are all ``None`` (one ``is not
-None`` test each on paths that already branch per action).  Attaching
-a tracer does NOT flip ``hub.active``: the per-message stages go
-through the participant's direct trace callbacks, so every gated hub
-emit keeps its counter-only fast path even while tracing.
+Cost model: the tracer is one :class:`~repro.core.probe.Probe` per
+node, installed on both the participant and its driver.  With no
+tracer attached every ``probe`` is ``None``, so each hook site costs
+one ``is not None`` test on a path that already branches per action.
+With a tracer, each stamp is one closure call: the hooks are closures
+whose bindings are default arguments, so a stamp is one clock call,
+one C-level pack and one bytearray extend.
 """
 
 from __future__ import annotations
 
 import functools
 import struct
-from typing import Any, Callable, List, Optional
+from typing import Callable, List
 
 from ..core import Service
 from ..core.packing import PackedPayload
+from ..core.probe import Probe
 from ..wire import tracefmt
 from ..wire.tracefmt import (
     CLOCK_SIM,
@@ -136,6 +136,20 @@ _PAIR_STRUCT = struct.Struct("<dBBiiIIdBBiiII")
 assert _PAIR_STRUCT.size == 2 * RECORD_SIZE
 
 
+class _NodeProbe(Probe):
+    """One node's stamping probe, built by :meth:`LifecycleTracer.node_probe`.
+
+    The hooks it implements are instance slots holding closures, not
+    methods, so a stamp reads its bindings as closure defaults instead
+    of instance attributes.  A slot shadows the base class's no-op
+    method of the same name; the hooks it does not stamp (the
+    retransmission pair) stay no-ops.
+    """
+
+    __slots__ = ("message_sent", "data_received", "token_handled",
+                 "multicast", "coalesced", "delivered")
+
+
 class LifecycleTracer:
     """Collects lifecycle stamps in memory; write out after the run.
 
@@ -143,6 +157,8 @@ class LifecycleTracer:
     ``EmulatedRing.attach_tracer()`` rather than by hand — the drivers
     know their own clock and hook points.
     """
+
+    __slots__ = ("_clock", "epoch", "world", "clock_kind", "label", "_buf")
 
     def __init__(
         self,
@@ -186,34 +202,29 @@ class LifecycleTracer:
             seq & 0xFFFFFFFF, aux & 0xFFFFFFFF,
         ))
 
-    # -- participant stages ---------------------------------------------------
+    # -- the per-node probe -------------------------------------------------
 
-    def watch_participant(self, pid: int, participant: Any) -> None:
-        """Install the participant-driven stages for one ring member.
+    def node_probe(self, pid: int) -> Probe:
+        """The probe stamping every stage observed at node ``pid``.
 
-        Stamps ``originated`` (retroactive from ``submitted_at``),
-        ``packed``, ``token_granted``, ``received`` and
-        ``token_handled`` through the participant's direct trace
-        callbacks (:meth:`repro.core.participant.Participant
-        .set_trace_callbacks`) — NOT the event hub: a pure tracer run
-        leaves ``hub.active`` False, so all the hub's gated emits keep
-        their counter-only fast path, and each traced stage costs one
-        closure call instead of a dispatch through the hub.  The
-        driver-side stages (``coalesced``, ``multicast``, ``ordered``,
-        ``delivered_*``) come from the hook factories below because
-        only the driver knows when the NIC/socket and the delivery
-        callback actually run.
+        Install it as both the participant's and the driver's probe.
+        The participant hooks stamp ``originated`` (retroactive from
+        ``submitted_at``), ``packed``, ``token_granted``, ``received``
+        and ``token_handled``; the driver hooks stamp ``coalesced``,
+        ``multicast``, ``ordered`` and ``delivered_*``, because only the
+        driver knows when the NIC/socket and the delivery actually run.
         """
         extend = self._buf.extend
         pack = RECORD_STRUCT.pack
         clock = self._clock
+        probe = _NodeProbe()
 
-        # Hot closures: every non-self binding is a default argument, so
-        # each stamp costs one clock call, one C-level pack and one
+        # Hot closures: every binding is a default argument, so each
+        # stamp costs one clock call, one C-level pack and one
         # bytearray extend — no GC-tracked allocation survives.
 
-        def on_sent(message, _extend=extend, _pack=pack,
-                    _clock=clock, _pid=pid, _packed=PackedPayload) -> None:
+        def message_sent(pid, message, _extend=extend, _pack=pack,
+                         _clock=clock, _packed=PackedPayload) -> None:
             now = _clock()
             payload = message.payload
             if type(payload) is _packed:
@@ -225,51 +236,39 @@ class LifecycleTracer:
                 if submitted is not None:
                     _extend(_pack(
                         submitted, STAGE_ORIGINATED, 0,
-                        _pid, _pid, message.seq, 0,
+                        pid, pid, message.seq, 0,
                     ))
                 _extend(_pack(
-                    now, STAGE_PACKED, 0, _pid, _pid, message.seq,
+                    now, STAGE_PACKED, 0, pid, pid, message.seq,
                     len(payload.items),
                 ))
             elif message.submitted_at is not None:
                 _extend(_pack(
                     message.submitted_at, STAGE_ORIGINATED, 0,
-                    _pid, _pid, message.seq, 0,
+                    pid, pid, message.seq, 0,
                 ))
             _extend(_pack(
-                now, STAGE_TOKEN_GRANTED, 0, _pid, _pid, message.seq,
+                now, STAGE_TOKEN_GRANTED, 0, pid, pid, message.seq,
                 AUX_POST_TOKEN if message.sent_after_token else 0,
             ))
 
-        def on_received(message, _extend=extend, _pack=pack, _clock=clock,
-                        _pid=pid, _stage=STAGE_RECEIVED) -> None:
+        def data_received(pid, message, _extend=extend, _pack=pack,
+                          _clock=clock, _stage=STAGE_RECEIVED) -> None:
             _extend(_pack(
-                _clock(), _stage, 0, _pid, message.pid, message.seq, 0,
+                _clock(), _stage, 0, pid, message.pid, message.seq, 0,
             ))
 
-        def on_token(token_out, allowed_new, _extend=extend, _pack=pack,
-                     _clock=clock, _pid=pid, _stage=STAGE_TOKEN_HANDLED,
-                     _no_pid=NO_PID) -> None:
+        def token_handled(pid, received, sent, allowed_new, retransmissions,
+                          _extend=extend, _pack=pack, _clock=clock,
+                          _stage=STAGE_TOKEN_HANDLED,
+                          _no_pid=NO_PID) -> None:
             _extend(_pack(
-                _clock(), _stage, 0, _pid, _no_pid, token_out.hop,
-                allowed_new,
+                _clock(), _stage, 0, pid, _no_pid, sent.hop, allowed_new,
             ))
 
-        participant.set_trace_callbacks(
-            sent=on_sent, received=on_received, token=on_token,
-        )
-
-    # -- driver hook factories ----------------------------------------------
-
-    def make_send_hook(self, pid: int):
-        """Driver hook: the NIC/socket accepted one data datagram.
-
-        Called as ``hook(message, retransmission, coalesced)``.
-        """
-        def on_send(message, retransmission: bool, coalesced: bool,
-                    _extend=self._buf.extend, _pack=RECORD_STRUCT.pack,
-                    _clock=self._clock, _stage=STAGE_MULTICAST,
-                    _pid=pid) -> None:
+        def multicast(message, retransmission, coalesced, _extend=extend,
+                      _pack=pack, _clock=clock, _stage=STAGE_MULTICAST,
+                      _pid=pid) -> None:
             aux = 0
             if message.sent_after_token:
                 aux |= AUX_POST_TOKEN
@@ -281,14 +280,8 @@ class LifecycleTracer:
                 _clock(), _stage, 0, _pid, message.pid, message.seq, aux,
             ))
 
-        return on_send
-
-    def make_coalesce_hook(self, pid: int):
-        """Driver hook: ``hook(messages)`` when a jumbo batch forms."""
-
-        def on_coalesce(messages, _extend=self._buf.extend,
-                        _pack=RECORD_STRUCT.pack, _clock=self._clock,
-                        _stage=STAGE_COALESCED, _pid=pid) -> None:
+        def coalesced(messages, _extend=extend, _pack=pack, _clock=clock,
+                      _stage=STAGE_COALESCED, _pid=pid) -> None:
             now = _clock()
             count = len(messages)
             for message in messages:
@@ -296,29 +289,16 @@ class LifecycleTracer:
                     now, _stage, 0, _pid, message.pid, message.seq, count,
                 ))
 
-        return on_coalesce
-
-    def make_delivery_hook(self, pid: int):
-        """Driver hook: ``hook(message, t_ordered, t_delivered)``.
-
-        Called once per delivered message, after the delivery executed.
-        ``t_ordered`` is the driver-clock instant the participant
-        returned the Deliver action (the delivery engine's release
-        time, captured before any delivery CPU charge); ``t_delivered``
-        the instant delivery completed.  Both are raw driver-clock
-        readings — the hook subtracts the tracer epoch — and the pair
-        is packed as one ``ordered`` plus one ``delivered_*`` record in
-        a single struct call.
-        """
+        # ``delivered`` gets raw driver-clock readings and subtracts the
+        # tracer epoch; the pair is packed as one ``ordered`` plus one
+        # ``delivered_*`` record in a single struct call.
         if self.epoch:
-            def on_delivery(message, t_ordered: float, t_delivered: float,
-                            _extend=self._buf.extend,
-                            _pack=_PAIR_STRUCT.pack,
-                            _t0=self.epoch, _pid=pid,
-                            _ordered=STAGE_ORDERED,
-                            _agreed=STAGE_DELIVERED_AGREED,
-                            _safe_stage=STAGE_DELIVERED_SAFE,
-                            _safe=Service.SAFE) -> None:
+            def delivered(message, t_ordered, t_delivered, _extend=extend,
+                          _pack=_PAIR_STRUCT.pack, _t0=self.epoch, _pid=pid,
+                          _ordered=STAGE_ORDERED,
+                          _agreed=STAGE_DELIVERED_AGREED,
+                          _safe_stage=STAGE_DELIVERED_SAFE,
+                          _safe=Service.SAFE) -> None:
                 origin = message.pid
                 seq = message.seq
                 if message.service is _safe:
@@ -336,13 +316,12 @@ class LifecycleTracer:
         else:
             # Epoch-zero specialization (the sim clock): skip the two
             # float subtractions — each allocates — on the densest hook.
-            def on_delivery(message, t_ordered: float, t_delivered: float,
-                            _extend=self._buf.extend,
-                            _pack=_PAIR_STRUCT.pack,
-                            _pid=pid, _ordered=STAGE_ORDERED,
-                            _agreed=STAGE_DELIVERED_AGREED,
-                            _safe_stage=STAGE_DELIVERED_SAFE,
-                            _safe=Service.SAFE) -> None:
+            def delivered(message, t_ordered, t_delivered, _extend=extend,
+                          _pack=_PAIR_STRUCT.pack, _pid=pid,
+                          _ordered=STAGE_ORDERED,
+                          _agreed=STAGE_DELIVERED_AGREED,
+                          _safe_stage=STAGE_DELIVERED_SAFE,
+                          _safe=Service.SAFE) -> None:
                 origin = message.pid
                 seq = message.seq
                 if message.service is _safe:
@@ -356,7 +335,13 @@ class LifecycleTracer:
                         t_delivered, _agreed, 0, _pid, origin, seq, 0,
                     ))
 
-        return on_delivery
+        probe.message_sent = message_sent
+        probe.data_received = data_received
+        probe.token_handled = token_handled
+        probe.multicast = multicast
+        probe.coalesced = coalesced
+        probe.delivered = delivered
+        return probe
 
     # -- output --------------------------------------------------------------
 
@@ -404,23 +389,15 @@ def sim_tracer(cluster, label: str = "") -> LifecycleTracer:
 
     Use via :meth:`repro.sim.cluster.SimCluster.attach_tracer`.
     """
-    sim = cluster.sim
     tracer = LifecycleTracer(
         # partial(getattr, ...) stays entirely in C — a Python lambda
         # here would add a frame to every participant-stage stamp.
-        clock=functools.partial(getattr, sim, "now"),
+        clock=functools.partial(getattr, cluster.sim, "now"),
         world=TRACE_WORLD_SIM,
         clock_kind=CLOCK_SIM,
         label=label,
     )
-    for pid, node in cluster.nodes.items():
-        tracer.watch_participant(pid, node.participant)
-        node.set_trace_hooks(
-            send=tracer.make_send_hook(pid),
-            delivery=tracer.make_delivery_hook(pid),
-            coalesce=tracer.make_coalesce_hook(pid),
-        )
-    return tracer
+    return _install(tracer, cluster.nodes.values())
 
 
 def emulation_tracer(
@@ -440,12 +417,13 @@ def emulation_tracer(
         label=label,
         epoch=t0,
     )
-    for node in ring.nodes.values():
-        pid = node.pid
-        tracer.watch_participant(pid, node.participant)
-        node.set_trace_hooks(
-            send=tracer.make_send_hook(pid),
-            delivery=tracer.make_delivery_hook(pid),
-            coalesce=tracer.make_coalesce_hook(pid),
-        )
+    return _install(tracer, ring.nodes.values())
+
+
+def _install(tracer: LifecycleTracer, nodes) -> LifecycleTracer:
+    """Install one node probe on each driver node and its participant."""
+    for node in nodes:
+        probe = tracer.node_probe(node.pid)
+        node.participant.probe = probe
+        node.probe = probe
     return tracer

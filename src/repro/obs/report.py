@@ -3,9 +3,8 @@
 :func:`analyze` turns a flat ``.rtrace`` record stream into the latency
 decomposition the paper argues about: where each message spent its time
 between origination and delivery, per-stage percentiles, token-round
-statistics (computed the same way :class:`repro.sim.trace.RoundTracer`
-computes them, so the two cross-check exactly on a shared run), and the
-top-N slowest deliveries.  :func:`format_report` and
+statistics (per-node round times and the post-token overlap fraction),
+and the top-N slowest deliveries.  :func:`format_report` and
 :func:`format_metrics` are the pretty-printers behind
 ``python -m repro.cli trace-analyze`` and ``python -m repro.cli report``.
 
@@ -144,7 +143,7 @@ def analyze(trace: LoadedTrace, top_n: int = 10) -> Dict[str, Any]:
 
     chains.sort(key=lambda c: (-c["e2e_s"], c["origin"], c["seq"], c["node"]))
 
-    # -- token rounds (RoundTracer-compatible) -------------------------------
+    # -- token rounds: inter-handling intervals, first two skipped ----------
     per_node_rounds: Dict[str, Dict[str, Any]] = {}
     node_means: List[float] = []
     for node in sorted(token_times):

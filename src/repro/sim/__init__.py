@@ -30,7 +30,6 @@ from .latency import LatencyRecorder, LatencySummary, summarize
 from .node import SimNode
 from .profiles import DAEMON, LIBRARY, PROFILES, SPREAD, CostProfile
 from .evs_node import GossipSimNode, SimEVSCluster, SimEVSNode
-from .trace import RoundStats, RoundTracer
 
 __all__ = [
     "GossipSimNode", "SimEVSCluster", "SimEVSNode",
@@ -43,5 +42,4 @@ __all__ = [
     "generate_schedule", "run_campaign", "run_scenario", "shrink_schedule",
     "LatencyRecorder", "LatencySummary", "summarize",
     "CostProfile", "LIBRARY", "DAEMON", "SPREAD", "PROFILES",
-    "RoundTracer", "RoundStats",
 ]

@@ -31,6 +31,7 @@ from ..core.coalesce import (
     JumboDatagram,
 )
 from ..core.packing import PackedPayload
+from ..core.probe import Probe, ProbeSlot
 from ..net import Frame, LinkSpec, Nic, Simulator, Switch, Timeout, Traffic
 from .latency import LatencyRecorder
 from .profiles import CostProfile
@@ -46,9 +47,13 @@ class SimNode:
         "_sim_ready", "_timeout_recv_token", "_timeout_send_token",
         "_recv_timeouts", "_send_timeouts", "_deliver_timeouts",
         "_jumbo_bytes", "socket_drops", "tokens_resent",
-        "_retransmit_deadline", "_trace_send", "_trace_delivery",
-        "_trace_coalesce", "_process",
+        "_retransmit_deadline", "_probe", "_process",
     )
+
+    #: The :class:`~repro.core.probe.Probe` for the driver stages
+    #: (``multicast``, ``coalesced``, ``delivered`` — sim-clock times),
+    #: or None; install before run().
+    probe = ProbeSlot()
 
     def __init__(
         self,
@@ -90,32 +95,10 @@ class SimNode:
         self.socket_drops = 0
         self.tokens_resent = 0
         self._retransmit_deadline = 0.0
-        # Lifecycle-trace hooks (repro.obs.lifecycle).  None when no
-        # tracer is attached: the send/deliver paths pay one ``is not
-        # None`` test each, nothing else.
-        self._trace_send: Optional[Callable] = None
-        self._trace_delivery: Optional[Callable] = None
-        self._trace_coalesce: Optional[Callable] = None
+        # Without a probe the send/deliver paths pay one ``is not None``
+        # test each, nothing else.
+        self._probe: Optional[Probe] = None
         self._process = sim.spawn(self._cpu_loop(), "cpu%d" % pid)
-
-    def set_trace_hooks(
-        self,
-        send: Optional[Callable] = None,
-        delivery: Optional[Callable] = None,
-        coalesce: Optional[Callable] = None,
-    ) -> None:
-        """Install lifecycle-trace driver hooks (attach before run()).
-
-        ``send(message, retransmission, coalesced)`` fires when the NIC
-        accepts a data datagram; ``delivery(message, t_ordered,
-        t_delivered)`` once per delivered message — ``t_ordered`` is
-        the sim instant the participant returned the Deliver action,
-        ``t_delivered`` the instant the delivery's CPU charge finished;
-        ``coalesce(messages)`` when a jumbo batch forms.
-        """
-        self._trace_send = send
-        self._trace_delivery = delivery
-        self._trace_coalesce = coalesce
 
     # -- application-facing -------------------------------------------------
 
@@ -233,12 +216,12 @@ class SimNode:
                     # the in-order fast path every received message
                     # delivers immediately, and the sub-generator per
                     # receive was measurable.
-                    # Attribute (not a captured local): the tracer may
-                    # attach between spawn and run().  The release time
-                    # is now — the participant returned the batch at
-                    # this instant, before any delivery CPU charge.
-                    trace_delivery = self._trace_delivery
-                    if trace_delivery is not None:
+                    # Attribute (not a captured local): the probe may
+                    # be installed between spawn and run().  The release
+                    # time is now — the participant returned the batch
+                    # at this instant, before any delivery CPU charge.
+                    probe = self._probe
+                    if probe is not None:
                         t_ordered = sim.now
                     for action in actions:
                         delivered = action.message
@@ -259,8 +242,8 @@ class SimNode:
                             record(pid, delivered.service,
                                    delivered.submitted_at, sim.now,
                                    delivered.payload_size)
-                        if trace_delivery is not None:
-                            trace_delivery(delivered, t_ordered, sim.now)
+                        if probe is not None:
+                            probe.delivered(delivered, t_ordered, sim.now)
                         if deliver_callback is not None:
                             deliver_callback(pid, delivered)
             else:
@@ -282,9 +265,8 @@ class SimNode:
         send_timeouts = self._send_timeouts
         deliver_timeouts = self._deliver_timeouts
         deliver_callback = self._deliver_callback
-        trace_send = self._trace_send
-        trace_delivery = self._trace_delivery
-        if trace_delivery is not None:
+        probe = self._probe
+        if probe is not None:
             # The participant returned this batch at the current instant
             # — every Deliver in it was ordered (released) now, before
             # any send/delivery CPU below shifts the clock.
@@ -302,8 +284,8 @@ class SimNode:
                     )
                 yield pause
                 nic_send(Frame(pid, None, data, size + header_bytes, message))
-                if trace_send is not None:
-                    trace_send(message, action.retransmission, False)
+                if probe is not None:
+                    probe.multicast(message, action.retransmission, False)
             elif kind is SendToken:
                 yield self._timeout_send_token
                 nic_send(Frame(
@@ -330,8 +312,8 @@ class SimNode:
                 else:
                     record(pid, message.service, message.submitted_at,
                            sim.now, message.payload_size)
-                if trace_delivery is not None:
-                    trace_delivery(message, t_ordered, sim.now)
+                if probe is not None:
+                    probe.delivered(message, t_ordered, sim.now)
                 if deliver_callback is not None:
                     deliver_callback(pid, message)
             elif kind is Discard:
@@ -374,7 +356,7 @@ class SimNode:
         """Send one batch: a lone packet goes plain, more go as a jumbo."""
         profile = self.profile
         send_timeouts = self._send_timeouts
-        trace_send = self._trace_send
+        probe = self._probe
         if len(batch) == 1:
             # Exactly the plain-datagram send: same bytes, same cost.
             message = batch[0]
@@ -389,8 +371,8 @@ class SimNode:
                 self.pid, None, Traffic.DATA,
                 size + profile.header_bytes, message,
             ))
-            if trace_send is not None:
-                trace_send(message, False, False)
+            if probe is not None:
+                probe.multicast(message, False, False)
             return
         datagram = JumboDatagram(tuple(batch))
         size = datagram.payload_size
@@ -404,11 +386,10 @@ class SimNode:
         self.nic.send(Frame(
             self.pid, None, Traffic.DATA, batch_bytes, datagram,
         ))
-        if trace_send is not None:
-            if self._trace_coalesce is not None:
-                self._trace_coalesce(batch)
+        if probe is not None:
+            probe.coalesced(batch)
             for message in batch:
-                trace_send(message, False, True)
+                probe.multicast(message, False, True)
 
     # -- token-loss recovery --------------------------------------------------
 

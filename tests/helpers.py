@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 from typing import Any, List, Sequence, Set, Tuple
 
-from repro.core import DataMessage, Service
+from repro.core import DataMessage, Probe, Service
 
 
 class FirstTimeLoss:
@@ -36,6 +36,28 @@ class FirstTimeLoss:
 
     def __call__(self, message: DataMessage, dst: int) -> bool:
         return self.key_drop(message.seq, dst)
+
+
+class TokenLog(Probe):
+    """Ring-wide probe: every token handling, as the hook received it."""
+
+    __slots__ = ("handlings",)
+
+    def __init__(self) -> None:
+        self.handlings: List[tuple] = []
+
+    def token_handled(self, pid, received, sent, allowed_new,
+                      retransmissions) -> None:
+        self.handlings.append(
+            (pid, received, sent, allowed_new, retransmissions)
+        )
+
+
+def watch_ring(ring, probe: Probe) -> Probe:
+    """Install one probe on every participant of a LoopbackRing."""
+    for participant in ring.participants.values():
+        participant.probe = probe
+    return probe
 
 
 def mixed_workload(

@@ -119,6 +119,40 @@ def test_window_never_negative():
     assert participant.accelerated_window >= 0
 
 
+def test_default_config_is_not_shared():
+    first = AcceleratedWindowTuner(Participant(1, Ring.of((1, 2))))
+    second = AcceleratedWindowTuner(Participant(1, Ring.of((1, 2))))
+    assert first.config == second.config == TunerConfig()
+    assert first.config is not second.config
+
+
+def test_detach_and_reattach():
+    participant, tuner = make_tuned_participant(accel=5, epoch_rounds=2)
+    assert participant.probe is tuner
+    token = spin_rounds(participant, rounds=4)
+    assert (tuner.epochs, participant.accelerated_window) == (2, 7)
+
+    # Detached: the tuner sees nothing and the window stays put.
+    participant.probe = None
+    for _round in range(6):
+        sent = token_of(participant.on_token(token))
+        token = sent.evolve(hop=sent.hop + 2, aru=sent.seq)
+    assert (tuner.epochs, participant.accelerated_window) == (2, 7)
+
+    # Re-attached: AIMD resumes where it left off.
+    participant.probe = tuner
+    for _round in range(2):
+        sent = token_of(participant.on_token(token))
+        token = sent.evolve(hop=sent.hop + 2, aru=sent.seq)
+    assert (tuner.epochs, participant.accelerated_window) == (3, 8)
+
+
+def test_second_tuner_on_one_participant_raises():
+    participant, _tuner = make_tuned_participant()
+    with pytest.raises(RuntimeError, match="already has a probe"):
+        AcceleratedWindowTuner(participant)
+
+
 # ---------------------------------------------------------------------------
 # End-to-end: the tuner converges in a running ring
 # ---------------------------------------------------------------------------

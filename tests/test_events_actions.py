@@ -1,16 +1,19 @@
-"""Unit tests for the event hub and the action helpers."""
+"""Unit tests for the probe seam and the action helpers."""
 
 import pytest
 
 from repro.core import (
     Deliver,
     Discard,
-    EventHub,
+    Participant,
+    Probe,
+    Ring,
     SendData,
     SendToken,
     Service,
     Token,
     deliveries,
+    initial_token,
     sends,
     token_of,
 )
@@ -22,44 +25,42 @@ def msg(seq=1):
 
 
 # ---------------------------------------------------------------------------
-# EventHub
+# Probe
 # ---------------------------------------------------------------------------
 
-def test_subscribe_and_emit():
-    hub = EventHub()
-    seen = []
-    hub.subscribe("ping", lambda *args: seen.append(args))
-    hub.emit("ping", 1)
-    hub.emit("ping", 2)
-    assert seen == [(1,), (2,)]
+class Broken(Probe):
+    def message_sent(self, pid, message):
+        raise RuntimeError("boom in message_sent")
+
+    def data_received(self, pid, message):
+        raise RuntimeError("boom in data_received")
 
 
-def test_counts_track_all_events_even_without_subscribers():
-    hub = EventHub()
-    hub.emit("silent")
-    hub.emit("silent")
-    assert hub.count("silent") == 2
-    assert hub.count("never") == 0
+def test_probe_exception_propagates():
+    # A broken probe fails the run loudly rather than corrupting
+    # measurements silently.
+    participant = Participant(1, Ring.of((1, 2)))
+    participant.probe = Broken()
+    participant.submit(b"x")
+    with pytest.raises(RuntimeError, match="message_sent"):
+        participant.on_token(initial_token())
+    with pytest.raises(RuntimeError, match="data_received"):
+        participant.on_data(DataMessage(seq=5, pid=2, round=1,
+                                        service=Service.AGREED))
 
 
-def test_multiple_subscribers_called_in_order():
-    hub = EventHub()
-    order = []
-    hub.subscribe("e", lambda *args: order.append("first"))
-    hub.subscribe("e", lambda *args: order.append("second"))
-    hub.emit("e")
-    assert order == ["first", "second"]
-
-
-def test_subscriber_exception_propagates():
-    hub = EventHub()
-
-    def broken(*args):
-        raise RuntimeError("boom")
-
-    hub.subscribe("e", broken)
-    with pytest.raises(RuntimeError):
-        hub.emit("e")
+def test_second_probe_install_raises():
+    participant = Participant(1, Ring.of((1, 2)))
+    first = Probe()
+    participant.probe = first
+    with pytest.raises(RuntimeError, match="already has a probe"):
+        participant.probe = Probe()
+    assert participant.probe is first
+    # Detaching first makes room for another.
+    participant.probe = None
+    second = Probe()
+    participant.probe = second
+    assert participant.probe is second
 
 
 # ---------------------------------------------------------------------------

@@ -122,3 +122,61 @@ def test_golden_fingerprint(name):
         "scenario %r fingerprint changed: got %s — a hot-path change "
         "altered observable simulation results" % (name, digest)
     )
+
+
+# -- lifecycle trace stream ----------------------------------------------------
+
+def _trace_digests(tmp_path, jumbo_bytes, offered_bps):
+    """SHA-256 of one seeded run's ``.rtrace`` bytes and trace-analyze JSON.
+
+    The ``tests/test_obs_trace.py`` run shape (4 nodes, LIBRARY, warmup
+    0, packing off); ``jumbo_bytes`` switches on datagram coalescing so
+    the ``coalesced`` stage is stamped too.
+    """
+    import json
+
+    from repro.obs.report import analyze
+    from repro.wire.tracefmt import load_trace
+
+    config = ProtocolConfig.accelerated(
+        personal_window=4, accelerated_window=2,
+        jumbo_datagram_bytes=jumbo_bytes,
+    )
+    cluster = SimCluster(4, GIGABIT, LIBRARY, config, seed=1)
+    tracer = cluster.attach_tracer(label="golden seed=1")
+    cluster.inject_at_rate(offered_bps, 0.01)
+    cluster.run(0.01, 0.0, offered_bps=offered_bps)
+    path = tracer.write(str(tmp_path / "golden.rtrace"))
+    with open(path, "rb") as handle:
+        raw = handle.read()
+    # Rendered exactly as ``python -m repro.cli trace-analyze --json``.
+    report = json.dumps(analyze(load_trace(path)), indent=2, sort_keys=True)
+    return (
+        hashlib.sha256(raw).hexdigest(),
+        hashlib.sha256(report.encode("utf-8")).hexdigest(),
+    )
+
+
+#: variant -> ((jumbo bytes, offered bps), (rtrace SHA-256, analysis SHA-256)).
+TRACE_SCENARIOS = {
+    "plain": (
+        (None, 200e6),
+        ("d6d037aa201e0099acd61f683b8ccc7345dbfc46b47c7290c9f6807549b0020d",
+         "6a8ab050d5278e4f7996cb8b6beb4319f10c7f97ce2cf3cc358c805bb51dd736"),
+    ),
+    "jumbo": (
+        (8850, 800e6),
+        ("10c9410a85b8976a2fa93f07ed7dba4dbb2ebad5b2af7926ec709d4b0ac1a2ff",
+         "0f967b1c27a1eb7611ad972cea88da8e623fd9346800e97d96b7c127643d48fc"),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRACE_SCENARIOS))
+def test_golden_trace(name, tmp_path):
+    (jumbo_bytes, offered_bps), expected = TRACE_SCENARIOS[name]
+    digests = _trace_digests(tmp_path, jumbo_bytes, offered_bps)
+    assert digests == expected, (
+        "trace scenario %r changed: got %s — observation altered the "
+        "trace stream or the analysis" % (name, digests)
+    )

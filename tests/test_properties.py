@@ -10,9 +10,9 @@ from hypothesis import example, given, settings, HealthCheck
 from hypothesis import strategies as st
 
 from repro import LoopbackRing, PriorityMethod, ProtocolConfig, Service
-from repro.core import ReceiveBuffer, Service as Svc
+from repro.core import Probe, ReceiveBuffer, Service as Svc
 from repro.core.messages import DataMessage
-from helpers import FirstTimeLoss, assert_same_sequences
+from helpers import FirstTimeLoss, assert_same_sequences, watch_ring
 
 
 # ---------------------------------------------------------------------------
@@ -148,15 +148,16 @@ def test_no_retransmission_of_current_round_messages(seed, accel):
 
     violations = []
 
-    def check(pid, seqs):
-        participant = ring.participants[pid]
-        # Requests must lie within the previous-round horizon.
-        horizon = participant._retransmit.request_horizon
-        for seq in seqs:
-            if seq > horizon:
-                violations.append((pid, seq, horizon))
+    class HorizonCheck(Probe):
+        def retransmission_requested(self, pid, seqs):
+            participant = ring.participants[pid]
+            # Requests must lie within the previous-round horizon.
+            horizon = participant._retransmit.request_horizon
+            for seq in seqs:
+                if seq > horizon:
+                    violations.append((pid, seq, horizon))
 
-    ring.hub.subscribe("retransmission_requested", check)
+    watch_ring(ring, HorizonCheck())
     rng = random.Random(seed)
     for pid in pids:
         for i in range(rng.randint(0, 30)):
