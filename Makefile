@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-fast lint bench bench-full bench-smoke bench-guard campaign-smoke churn-smoke multiring-smoke obs-smoke wire-fuzz-smoke examples figures clean
+.PHONY: install test test-fast lint bench bench-full bench-smoke bench-guard perfbench-smoke campaign-smoke churn-smoke multiring-smoke obs-smoke wire-fuzz-smoke examples figures clean
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -55,6 +55,25 @@ bench-guard:
 		--out bench_results/fresh/churn_convergence.json
 	$(PYTHON) -m repro.bench.guard --baseline bench_results \
 		--fresh bench_results/fresh
+
+# Benchmark smoke: every perfbench workload for one second, traced, so
+# a driver refactor that breaks a name perfbench/spans.py wraps fails
+# here.  run.py exits 0 even when a check fails, so the last line of its
+# output (the JSON result) must say correct with no failed operations.
+# This is what CI runs.
+PERFBENCH_WORKLOADS = sim_agreed_1g sim_safe_small_jumbo udp_agreed_jumbo \
+	sim_churn_agreed
+
+perfbench-smoke:
+	@for workload in $(PERFBENCH_WORKLOADS); do \
+		echo "== $$workload =="; \
+		$(PYTHON) perfbench/run.py --workload $$workload --seed 1 \
+			--seconds 1 --trace 1 | tail -n 1 | $(PYTHON) -c \
+			'import json, sys; r = json.loads(sys.stdin.read()); \
+			print("correct=%s failed=%s" % (r["correct"], r["failed"])); \
+			sys.exit(not (r["correct"] is True and r["failed"] == 0))' \
+			|| exit 1; \
+	done
 
 # Small seeded fault-injection campaign: crashes, partitions, token
 # drops and loss swaps against accelerated and original-Ring configs;

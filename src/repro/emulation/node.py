@@ -16,23 +16,25 @@ from typing import Any, List, Optional
 
 from ..core import (
     DataMessage,
-    Deliver,
-    Discard,
     Participant,
     ProtocolConfig,
     Ring,
-    SendData,
     SendToken,
     Service,
     Token,
     initial_token,
 )
+from ..core.executor import execute
 from ..core.probe import Probe, ProbeSlot
-from .transport import UdpTransport
+from .transport import HEADER_SIZE, UdpTransport
 
 
 class EmulatedNode(threading.Thread):
-    """One participant on real UDP sockets, in its own thread."""
+    """One participant on real UDP sockets, in its own thread.
+
+    The node is the executor's port (:mod:`repro.core.executor`); the
+    data path (size model, grouping, datagrams) is the transport's.
+    """
 
     #: Socket poll granularity; bounds timer latency, not throughput.
     POLL_INTERVAL_S = 0.001
@@ -67,6 +69,13 @@ class EmulatedNode(threading.Thread):
         self._token_resends = 0
         self.tokens_resent = 0
         self._probe: Optional[Probe] = None
+        # The executor's port takes its data path from the transport.
+        self.sized = transport.sized
+        self.send_datagram = transport.send_datagram
+        cap = config.jumbo_datagram_bytes
+        self.coalesce = None if cap is None else (
+            lambda sized: transport.coalesce(sized, cap)
+        )
 
     # -- application API (any thread) -------------------------------------
 
@@ -126,63 +135,28 @@ class EmulatedNode(threading.Thread):
             participant.token_has_priority or not data_pending
         )
         if take_token:
-            token = self._pending_tokens.pop(0)
-            self._execute(participant.on_token(token))
+            actions = participant.on_token(self._pending_tokens.pop(0))
         else:
-            message = self._pending_data.pop(0)
-            self._execute(participant.on_data(message))
+            actions = participant.on_data(self._pending_data.pop(0))
+        for _ in execute(actions, self, self._probe):
+            pass  # nothing here charges CPU, so nothing is yielded
 
-    def _execute(self, actions) -> None:
-        # With coalescing configured, consecutive SendData actions are
-        # batched and flushed as jumbo datagrams; the batch also flushes
-        # before any other action so the token keeps its place after the
-        # pre-token sends (that ordering IS the acceleration).
-        jumbo_cap = self.config.jumbo_datagram_bytes
-        probe = self._probe
-        if probe is not None:
-            # The participant returned this batch at the current
-            # instant: every Deliver in it was ordered (released) now.
-            t_ordered = time.monotonic()
-        batch: List[DataMessage] = []
-        for action in actions:
-            if isinstance(action, SendData):
-                if jumbo_cap is None:
-                    self.transport.send_data(action.message)
-                    if probe is not None:
-                        probe.multicast(action.message, action.retransmission,
-                                        False)
-                else:
-                    batch.append(action.message)
-                continue
-            if batch:
-                self._flush_batch(batch, jumbo_cap)
-                batch = []
-            if isinstance(action, SendToken):
-                if action.dst == self.pid:
-                    self._pending_tokens.append(action.token)
-                else:
-                    self.transport.send_token(action.token, action.dst)
-                self._token_sent_at = time.monotonic()
-                self._token_resends = 0
-            elif isinstance(action, Deliver):
-                self.delivered.put(action.message)
-                if probe is not None:
-                    probe.delivered(action.message, t_ordered,
-                                    time.monotonic())
-            elif isinstance(action, Discard):
-                pass
-        if batch:
-            self._flush_batch(batch, jumbo_cap)
+    # -- the executor's port (repro.core.executor) ----------------------------
 
-    def _flush_batch(self, batch: List[DataMessage], jumbo_cap: int) -> None:
-        self.transport.send_data_batch(batch, jumbo_cap)
-        probe = self._probe
-        if probe is not None:
-            coalesced = len(batch) > 1
-            if coalesced:
-                probe.coalesced(batch)
-            for message in batch:
-                probe.multicast(message, False, coalesced)
+    charge = None
+    header_bytes = HEADER_SIZE
+    now = staticmethod(time.monotonic)
+
+    def send_token(self, action: SendToken) -> None:
+        if action.dst == self.pid:
+            self._pending_tokens.append(action.token)
+        else:
+            self.transport.send_token(action.token, action.dst)
+        self._token_sent_at = time.monotonic()
+        self._token_resends = 0
+
+    def deliver(self, message: DataMessage) -> None:
+        self.delivered.put(message)
 
     def _maybe_retransmit_token(self) -> None:
         participant = self.participant

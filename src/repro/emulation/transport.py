@@ -29,6 +29,7 @@ from ..wire.codec import (
     EncodeError,
     decode_detail,
     encode,
+    frame_jumbo,
 )
 
 #: Loss hook for tests: (kind, obj, dst_pid) -> True to drop the send.
@@ -151,27 +152,36 @@ class UdpTransport:
     def send_data_batch(self, objs, jumbo_cap: int) -> None:
         """Multicast a burst of data messages, coalescing into jumbos.
 
-        Greedily groups the burst's datagrams under ``jumbo_cap`` (bounded
-        by :data:`MAX_DATAGRAM`); each group of two or more travels as one
-        jumbo datagram sharing a single header and CRC, while a group of
-        one is sent byte-for-byte as :meth:`send_data` would.
+        Each group of two or more travels as one jumbo datagram sharing
+        a single header and CRC; a group of one is sent byte-for-byte
+        as :meth:`send_data` would.
         """
-        objs = list(objs)
-        if len(objs) == 1:
-            self.send_data(objs[0])
+        sized = [self.sized(obj) for obj in objs]
+        for packets, size in self.coalesce(sized, jumbo_cap):
+            self.send_datagram(packets, size)
+
+    # The executor's data path (repro.core.executor): each data message
+    # is encoded once, by ``sized``; a jumbo reuses the encoded bodies.
+
+    def sized(self, message: DataMessage):
+        """``((message, frame), body bytes)``: the encoded-size model."""
+        blob = self._encode_checked(message)
+        return (message, blob), len(blob) - HEADER_SIZE
+
+    def coalesce(self, sized, jumbo_cap: int):
+        """Group ``sized`` packets under ``jumbo_cap`` (and MAX_DATAGRAM)."""
+        return coalesce(sized, min(jumbo_cap, MAX_DATAGRAM), HEADER_SIZE)
+
+    def send_datagram(self, packets, _size: int = 0) -> None:
+        """Multicast one datagram: plain for one packet, else a jumbo."""
+        if len(packets) == 1:
+            message, blob = packets[0]
+            self._multicast_data(blob, message)
             return
-        cap = min(jumbo_cap, MAX_DATAGRAM)
-        sized = []
-        for obj in objs:
-            blob = self._encode_checked(obj)
-            sized.append(((obj, blob), len(blob) - HEADER_SIZE))
-        for group, _size in coalesce(sized, cap, HEADER_SIZE):
-            if len(group) == 1:
-                obj, blob = group[0]
-                self._multicast_data(blob, obj)
-            else:
-                datagram = JumboDatagram(tuple(obj for obj, _ in group))
-                self._multicast_data(self._encode_checked(datagram), datagram)
+        self._multicast_data(
+            frame_jumbo([blob for _message, blob in packets]),
+            JumboDatagram(tuple(message for message, _blob in packets)),
+        )
 
     def _multicast_data(self, blob: bytes, obj: Any) -> None:
         if self._capture is not None:

@@ -18,17 +18,15 @@ from typing import Any, Callable, Deque, Dict, List, Optional, Sequence
 
 from ..core import (
     DataMessage,
-    Deliver,
-    Discard,
     Participant,
     ProtocolConfig,
     Ring,
-    SendData,
     SendToken,
     Service,
     Token,
     initial_token,
 )
+from ..core.executor import execute
 
 #: Optional drop predicates: return True to lose the message on that link.
 DataDropRule = Callable[[DataMessage, int], bool]
@@ -64,8 +62,7 @@ class LoopbackRing:
         self._on_deliver = on_deliver
         #: Per-participant delivery logs: list of DataMessage in order.
         self.delivered: Dict[int, List[DataMessage]] = {p: [] for p in self.ring}
-        #: Per-participant discard high watermark.
-        self.discarded_upto: Dict[int, int] = {p: 0 for p in self.ring}
+        self._ports = {pid: _Port(self, pid) for pid in self.ring}
         self.steps_taken = 0
         self.data_drops = 0
         self.token_drops = 0
@@ -215,21 +212,9 @@ class LoopbackRing:
             actions = participant.on_token(token_q.popleft())
         else:
             actions = participant.on_data(data_q.popleft())
-        self._execute(pid, actions)
+        for _ in execute(actions, self._ports[pid], None):
+            pass  # the loopback network charges no CPU: nothing is yielded
         return True
-
-    def _execute(self, pid: int, actions) -> None:
-        for action in actions:
-            if isinstance(action, SendData):
-                self._route_data(action.message, source=pid)
-            elif isinstance(action, SendToken):
-                self._route_token(action.token, action.dst, allow_drop=True)
-            elif isinstance(action, Deliver):
-                self._record_delivery(pid, action.message)
-            elif isinstance(action, Discard):
-                self.discarded_upto[pid] = max(
-                    self.discarded_upto[pid], action.upto
-                )
 
     def _route_data(self, message: DataMessage, source: int) -> None:
         for pid in self.ring:
@@ -261,3 +246,29 @@ class LoopbackRing:
                         "pid %d delivered Safe seq %d before pid %d received it"
                         % (pid, message.seq, other_pid)
                     )
+
+
+class _Port:
+    """One participant's side of the loopback network (executor port)."""
+
+    __slots__ = ("ring", "pid")
+
+    charge = None
+    coalesce = None
+    header_bytes = 0
+
+    def __init__(self, ring: LoopbackRing, pid: int) -> None:
+        self.ring = ring
+        self.pid = pid
+
+    def sized(self, message: DataMessage):
+        return message, 0
+
+    def send_datagram(self, packets, _size: int) -> None:
+        self.ring._route_data(packets[0], source=self.pid)
+
+    def send_token(self, action: SendToken) -> None:
+        self.ring._route_token(action.token, action.dst, allow_drop=True)
+
+    def deliver(self, message: DataMessage) -> None:
+        self.ring._record_delivery(self.pid, message)

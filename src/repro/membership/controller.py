@@ -35,17 +35,15 @@ from typing import Any, Dict, FrozenSet, List, Optional, Set, Tuple, Union
 
 from ..core import (
     DataMessage,
-    Deliver,
-    Discard,
     Participant,
     ProtocolConfig,
     Ring,
-    SendData,
     SendToken,
     Service,
     Token,
     initial_token,
 )
+from ..core.executor import execute
 from ..evs import AppMessage, ConfigChange, Configuration
 from .messages import (
     CommitToken,
@@ -99,6 +97,45 @@ class MembershipTimeouts:
     #: After this many fruitless gather timeouts, collapse to a
     #: singleton ring (guaranteed progress); probes re-merge later.
     max_gather_attempts: int = 8
+
+
+class _RingPort:
+    """The operational ring as the executor's port: sends become
+    :class:`Outgoing` values, deliveries go to the app log."""
+
+    __slots__ = ("process", "out")
+
+    charge = None
+    coalesce = None
+    header_bytes = 0
+
+    def __init__(self, process: "EVSProcess") -> None:
+        self.process = process
+        self.out: List[Outgoing] = []
+
+    def run(self, actions) -> List[Outgoing]:
+        for _ in execute(actions, self, None):
+            pass  # nothing here charges CPU, so nothing is yielded
+        return self.out
+
+    def sized(self, message: DataMessage):
+        return message, 0
+
+    def send_datagram(self, packets, _size: int) -> None:
+        ring_id = self.process.ring.ring_id
+        self.out.append(Outgoing("data", (ring_id, packets[0])))
+
+    def send_token(self, action: SendToken) -> None:
+        ring_id = self.process.ring.ring_id
+        self.out.append(Outgoing("token", (ring_id, action.token),
+                                 dst=action.dst))
+
+    def deliver(self, message: DataMessage) -> None:
+        self.process.app_log.append(AppMessage(
+            ring_id=self.process.ring.ring_id, seq=message.seq,
+            sender=message.pid, payload=message.payload,
+            safe=message.service.requires_stability, transitional=False,
+        ))
 
 
 class EVSProcess:
@@ -224,7 +261,7 @@ class EVSProcess:
                 return self._start_gather(extra_procs={src})
             return []
         self._ticks_since_token = 0
-        return self._run_participant_actions(self.participant.on_token(token))
+        return _RingPort(self).run(self.participant.on_token(token))
 
     def handle_data(self, ring_id: int, message: DataMessage, src: int) -> List[Outgoing]:
         if ring_id != self.ring.ring_id:
@@ -238,7 +275,7 @@ class EVSProcess:
         # delivered) even while membership is forming, so recovery has
         # as much as possible to work with.
         self._ticks_since_token = 0
-        return self._run_participant_actions(self.participant.on_data(message))
+        return _RingPort(self).run(self.participant.on_data(message))
 
     def bootstrap(self) -> List[Outgoing]:
         """Announce ourselves at startup: enter Gather immediately.
@@ -314,31 +351,6 @@ class EVSProcess:
     # ------------------------------------------------------------------
     # Operational internals
     # ------------------------------------------------------------------
-
-    def _run_participant_actions(self, actions) -> List[Outgoing]:
-        out: List[Outgoing] = []
-        for action in actions:
-            if isinstance(action, SendData):
-                out.append(Outgoing("data", (self.ring.ring_id, action.message)))
-            elif isinstance(action, SendToken):
-                out.append(
-                    Outgoing("token", (self.ring.ring_id, action.token), dst=action.dst)
-                )
-            elif isinstance(action, Deliver):
-                message = action.message
-                self.app_log.append(
-                    AppMessage(
-                        ring_id=self.ring.ring_id,
-                        seq=message.seq,
-                        sender=message.pid,
-                        payload=message.payload,
-                        safe=message.service.requires_stability,
-                        transitional=False,
-                    )
-                )
-            elif isinstance(action, Discard):
-                pass
-        return out
 
     # ------------------------------------------------------------------
     # Gather

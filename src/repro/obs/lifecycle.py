@@ -24,8 +24,9 @@ Stage taxonomy (the paper's Section III message path)::
 
 (``ordered`` and ``delivered_*`` come from one driver hook for speed —
 they are the two highest-volume stages, one pair per delivered message
-per node.  The driver captures the instant the participant returned the
-Deliver action and, after the delivery executes, makes a single hook
+per node.  The shared action executor (``repro.core.executor``)
+captures the instant the participant returned the action list and,
+after each delivery executes, makes a single hook
 call that packs both records at once: one Python call, one struct pack
 and one buffer append for the pair.)
 

@@ -575,9 +575,7 @@ def encode(message: Any, ring_id: int = 0) -> bytes:
 
 
 def _encode_jumbo_body(messages, ring_id: int) -> bytes:
-    if not messages:
-        raise EncodeError("a jumbo datagram needs at least one packet")
-    parts = [_u32(len(messages), "jumbo packet count")]
+    bodies = []
     for message in messages:
         # Only data packets coalesce: the token is never jumbo-framed
         # (it flushes the batch and departs alone, for latency), and
@@ -587,7 +585,15 @@ def _encode_jumbo_body(messages, ring_id: int) -> bytes:
                 "jumbo datagrams carry only data packets, got %s"
                 % type(message).__name__
             )
-        body = _encode_data_body(message, ring_id)
+        bodies.append(_encode_data_body(message, ring_id))
+    return _jumbo_body(bodies)
+
+
+def _jumbo_body(bodies) -> bytes:
+    if not bodies:
+        raise EncodeError("a jumbo datagram needs at least one packet")
+    parts = [_u32(len(bodies), "jumbo packet count")]
+    for body in bodies:
         parts.append(_JUMBO_ENTRY.pack(TYPE_DATA, len(body)))
         parts.append(body)
     return b"".join(parts)
@@ -602,6 +608,24 @@ def encode_jumbo(messages, ring_id: int = 0) -> bytes:
     :class:`~repro.core.coalesce.JumboDatagram`.
     """
     return _frame(TYPE_JUMBO, _encode_jumbo_body(tuple(messages), ring_id))
+
+
+def frame_jumbo(frames) -> bytes:
+    """One jumbo datagram from data frames :func:`encode` already built.
+
+    Each frame's body is reused as-is, so a sender that encoded every
+    packet once (to size it) never encodes it again; the bytes equal
+    :func:`encode_jumbo` over the same packets and ring id.
+    """
+    bodies = []
+    for frame in frames:
+        if frame[3] != TYPE_DATA:  # the header's message-type byte
+            raise EncodeError(
+                "jumbo datagrams carry only data packets, got type %d"
+                % frame[3]
+            )
+        bodies.append(memoryview(frame)[HEADER_SIZE:])
+    return _frame(TYPE_JUMBO, _jumbo_body(bodies))
 
 
 def encoded_size(message: Any, ring_id: int = 0) -> int:

@@ -100,9 +100,15 @@ def test_wire_roundtrip():
 
 
 def test_encode_dispatch_matches_encode_jumbo():
+    from repro.core import initial_token
     messages = (data(1), data(2))
     assert codec.encode(JumboDatagram(messages), ring_id=3) == \
         codec.encode_jumbo(messages, ring_id=3)
+    # Re-framing frames that were already encoded gives the same bytes.
+    frames = [codec.encode(message, ring_id=3) for message in messages]
+    assert codec.frame_jumbo(frames) == codec.encode_jumbo(messages, ring_id=3)
+    with pytest.raises(codec.EncodeError, match="only data packets"):
+        codec.frame_jumbo([codec.encode(initial_token())])
 
 
 def test_wire_size_matches_coalesce_model():

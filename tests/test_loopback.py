@@ -84,7 +84,7 @@ def test_garbage_collection_bounds_buffers():
     ring = run_ring(pids, ProtocolConfig.accelerated(), plan)
     for pid in pids:
         assert len(ring.participants[pid].buffer) < 100
-        assert ring.discarded_upto[pid] > 0
+        assert ring.participants[pid].buffer.discarded_upto > 0
 
 
 def test_single_participant_ring():

@@ -19,8 +19,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import ProtocolConfig
-from repro.net import GIGABIT
+from repro.net import GIGABIT, BernoulliLoss
 from repro.obs.lifecycle import (
+    AUX_COALESCED,
+    AUX_RETRANSMISSION,
+    STAGE_COALESCED,
     STAGE_DELIVERED_AGREED,
     STAGE_DELIVERED_SAFE,
     STAGE_MULTICAST,
@@ -279,6 +282,52 @@ def test_emulation_tracer_over_real_sockets(tmp_path):
     assert report["world"] == "emulation"
     assert report["clock"] == "wall"
     assert report["deliveries"] >= 45
+
+
+@pytest.mark.parametrize("jumbo_bytes", [None, 8850])
+def test_multicast_records_keep_the_retransmission_flag(jumbo_bytes):
+    # Coalesced datagrams carry retransmissions too; each one's
+    # multicast record must still say so.
+    config = ProtocolConfig.accelerated(
+        personal_window=4, accelerated_window=2,
+        jumbo_datagram_bytes=jumbo_bytes,
+    )
+    cluster = SimCluster(4, GIGABIT, LIBRARY, config, seed=1,
+                         loss=BernoulliLoss(0.02, seed=1))
+    tracer = cluster.attach_tracer()
+    cluster.inject_at_rate(400e6, 0.01)
+    cluster.run(0.01, 0.0, offered_bps=400e6)
+    sent = sum(node.participant.stats.retransmissions_sent
+               for node in cluster.nodes.values())
+    flagged = sum(
+        1 for record in tracer.to_records()
+        if record.stage == STAGE_MULTICAST
+        and record.aux & AUX_RETRANSMISSION
+    )
+    assert sent > 0
+    assert flagged == sent
+
+
+def test_emulation_coalesced_records_are_per_datagram():
+    # 1350-byte messages: at most six fit one 8850-byte jumbo, so no
+    # coalesced record may claim a larger group, and exactly the
+    # messages in real jumbos are marked coalesced.
+    from repro.emulation import EmulatedRing
+
+    config = ProtocolConfig.accelerated(jumbo_datagram_bytes=8850)
+    ring = EmulatedRing(4, config)
+    tracer = ring.attach_tracer(label="emu jumbo trace test")
+    with ring:
+        for i in range(400):
+            ring.submit(i % 4, b"%08d:" % i + bytes(1341))
+        ring.collect_deliveries(expected_per_node=400, timeout_s=60.0)
+    records = tracer.to_records()
+    coalesced = [r for r in records if r.stage == STAGE_COALESCED]
+    assert coalesced
+    assert max(record.aux for record in coalesced) <= 6
+    marked = sum(1 for r in records
+                 if r.stage == STAGE_MULTICAST and r.aux & AUX_COALESCED)
+    assert marked == len(coalesced)
 
 
 def load_from_tracer(tracer):
