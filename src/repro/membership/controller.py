@@ -270,10 +270,16 @@ class EVSProcess:
             return []
         if not self._installed:
             return []
-        # Data for the current ring is processed (and delivered — the
-        # regular configuration stands until a config change is
-        # delivered) even while membership is forming, so recovery has
-        # as much as possible to work with.
+        if self.state is State.RECOVER:
+            # Our old-ring messages were flooded on entering recovery
+            # and the delivery cut is computed from that union alone.
+            # A late message delivered now would be in our regular
+            # configuration but in no other member's.
+            return []
+        # Otherwise data for the current ring is processed (and
+        # delivered — the regular configuration stands until a config
+        # change is delivered) even while membership is forming, so
+        # recovery has as much as possible to work with.
         self._ticks_since_token = 0
         return _RingPort(self).run(self.participant.on_data(message))
 
@@ -803,7 +809,12 @@ class EVSProcess:
         transitional_members = tuple(sorted(info.pid for info in sharers))
         old_ring_id = self.ring.ring_id
         delivered_upto = self.participant.delivered_upto
-        safe_floor = self.participant.safe_bound
+        # A Safe message at or below ANY continuing member's stability
+        # bound was received by the whole old ring, and that member may
+        # already have delivered it in the regular configuration; so
+        # every member moving with it must deliver it there too.
+        safe_floor = max((info.old_safe_bound for info in sharers),
+                         default=self.participant.safe_bound)
 
         known = dict(self._recovery_union)
         top = max(known) if known else delivered_upto

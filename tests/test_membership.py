@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.core import ProtocolConfig, Service
-from repro.evs import ConfigChange, Configuration, ConfigurationKind
+from repro.core import DataMessage, ProtocolConfig, Service
+from repro.evs import ConfigChange, Configuration, ConfigurationKind, EVSChecker
 from repro.harness.evsnet import EVSNetwork
 from repro.membership import State
 from repro.membership.controller import make_ring_id, ring_id_seq
@@ -244,6 +244,34 @@ def test_virtual_synchrony_same_deliveries_per_configuration():
             logs[p] = events[events.index(shared):]
         a, b = (logs[p] for p in group)
         assert a == b, "virtual synchrony violated within %r" % (group,)
+
+
+def test_old_ring_data_arriving_during_recovery_is_not_delivered():
+    # Recovery floods each member's old-ring messages once, on entering
+    # RECOVER, and every member cuts its regular configuration from that
+    # union.  A late old-ring message one member alone still delivers
+    # would sit in its regular configuration but in no other member's.
+    net = converged_net([1, 2, 3])
+    net.submit(1, "before")
+    net.run_quiet(100)
+    old_ring = net.processes[2].ring.ring_id
+    net.crash(3)
+    for _i in range(2000):
+        net.step()
+        if net.processes[2].state is State.RECOVER:
+            break
+    assert net.processes[1].state is net.processes[2].state is State.RECOVER
+    late = DataMessage(seq=net.processes[2].participant.delivered_upto + 1,
+                       pid=3, round=99, service=Service.AGREED, payload="late")
+    assert net.processes[2].handle_data(old_ring, late, src=3) == []
+    net.run_until_converged()
+    net.run_quiet(100)
+    for pid in (1, 2):
+        payloads = [m.payload for m in net.processes[pid].delivered_messages()]
+        assert "late" not in payloads
+    checker = EVSChecker()
+    checker.check_logs(net.logs())
+    checker.assert_ok()
 
 
 def test_transitional_messages_flagged():

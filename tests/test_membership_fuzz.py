@@ -74,20 +74,23 @@ def test_pinned_churn_meltdown_schedules_converge(seed):
     run_churn_schedule(seed, n=50, operations=10)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="open bug: VS violation in transitional delivery (ROADMAP #6)",
-)
-def test_pinned_vs_violation_partition_during_transitional():
-    """Known-open bug: a hypothesis-found schedule where processes 1
-    and 3 move together from regular configuration (1,2,3) to
-    transitional (1,3) yet deliver different message sets — a virtual
-    synchrony violation in the membership/recovery path.  Pinned here
-    (xfail) so the failing schedule is deterministic instead of a
-    random hypothesis draw; flip to a plain test when the
-    transitional-configuration delivery cut is fixed.
+@pytest.mark.parametrize("seed,n,operations",
+                         [(5309, 3, 2), (167, 3, 5), (162, 4, 2),
+                          (1570, 3, 4), (4197, 5, 4), (7001, 5, 3),
+                          (9691, 3, 4)])
+def test_pinned_vs_violation_partition_during_transitional(seed, n, operations):
+    """Regression: hypothesis-found schedules where processes moving
+    together from a regular configuration to the same transitional
+    one delivered different message sets in the regular one.
+
+    One member's stability bound covered a Safe message, so it
+    delivered it in the regular configuration.  Another member's bound
+    lagged, and at recovery it placed the message in the transitional
+    configuration.  Fixed by cutting the regular phase at the highest
+    stability bound among the continuing members, which the commit
+    token already carries.
     """
-    run_schedule(5309, 3, 2)
+    run_schedule(seed, n, operations)
 
 
 def test_restart_cannot_reuse_ring_id():
