@@ -13,10 +13,14 @@ anything.
   membership control messages and the spreadlike client protocol.
 * :mod:`.capture` — the ``.rcap`` packet-capture format plus taps for
   the simulated switch and the UDP transport.
+* :mod:`.tracefmt` — the ``.rtrace`` lifecycle-trace format (binary and
+  JSONL flavors) written by :mod:`repro.obs.lifecycle`.
+* :mod:`.filefmt` — the file header, world ids and truncated-tail
+  handling ``.rcap`` and ``.rtrace`` share.
 * :mod:`.decode`  — the capture analyzer behind
   ``python -m repro.cli decode``.
-* :mod:`.fuzz`    — deterministic datagram mutators for the
-  malformed-frame fuzz suites.
+* :mod:`.fuzz`    — deterministic datagram mutators and nested-frame
+  generators for the malformed-frame fuzz suites.
 """
 
 from .codec import (

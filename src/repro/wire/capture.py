@@ -6,17 +6,10 @@ and the real-socket UDP transport write the *same* format, so one
 decoder (:mod:`repro.wire.decode`) serves both and a sim run can be
 diffed against an emulation run frame-for-frame.
 
-File layout::
-
-    offset  size  field
-    0       4     magic b"RCAP"
-    4       2     capture format version (currently 1)
-    6       1     world: 0 = sim, 1 = emulation
-    7       1     reserved (0)
-    8       4     label length
-    12      ...   UTF-8 label (free-form, e.g. the run's parameters)
-
-followed by zero or more records::
+The file opens with the envelope shared with ``.rtrace``
+(:mod:`repro.wire.filefmt`): magic b"RCAP", format version 1, the
+world, a reserved byte (0) and the label.  Zero or more records
+follow::
 
     0       8     timestamp, seconds (f64; sim time or monotonic time)
     8       8     source id (i64; -1 = unknown)
@@ -27,9 +20,7 @@ followed by zero or more records::
     28      4     frame length
     32      ...   the encoded wire frame (:mod:`repro.wire.codec`)
 
-Records are appended in capture order; the file needs no index and
-truncated tails (a crashed writer) are detected, reported, and do not
-invalidate the records before them.
+Records are appended in capture order; the file needs no index.
 """
 
 from __future__ import annotations
@@ -40,19 +31,19 @@ from typing import Any, Iterator, NamedTuple, Optional
 
 from . import codec
 from .codec import DecodeError, EncodeError
-
-RCAP_MAGIC = b"RCAP"
-RCAP_VERSION = 1
-
-WORLD_SIM = 0
-WORLD_EMULATION = 1
-WORLD_NAMES = {WORLD_SIM: "sim", WORLD_EMULATION: "emulation"}
+# WORLD_* are re-exported: capture writers name their world through here.
+from .filefmt import (
+    WORLD_EMULATION,
+    WORLD_SIM,
+    EnvelopeReader,
+    EnvelopeWriter,
+    FileFormat,
+)
 
 TRAFFIC_DATA = 0
 TRAFFIC_TOKEN = 1
 TRAFFIC_NAMES = {TRAFFIC_DATA: "data", TRAFFIC_TOKEN: "token"}
 
-_FILE_HEADER = struct.Struct("<4sHBBI")
 _RECORD_HEADER = struct.Struct("<dqqBBHI")
 
 #: Destination id meaning "multicast to every other port".
@@ -61,6 +52,9 @@ MULTICAST = -1
 
 class CaptureError(ValueError):
     """The file is not a readable ``.rcap`` capture."""
+
+
+RCAP = FileFormat(b"RCAP", 1, "rcap", CaptureError)
 
 
 class CaptureRecord(NamedTuple):
@@ -81,25 +75,16 @@ class CaptureRecord(NamedTuple):
         return codec.decode_detail(self.blob)
 
 
-class CaptureWriter:
+class CaptureWriter(EnvelopeWriter):
     """Append-only ``.rcap`` writer; safe to share across node threads."""
 
+    FORMAT = RCAP
+
     def __init__(self, path: str, world: int, label: str = "") -> None:
-        if world not in WORLD_NAMES:
-            raise ValueError("unknown capture world %r" % (world,))
-        self.path = path
-        self.world = world
-        self.label = label
-        self.records_written = 0
+        super().__init__(path, world, 0, label)
         #: Frames the tap saw but could not encode (sim-internal payloads).
         self.records_skipped = 0
         self._lock = threading.Lock()
-        raw_label = label.encode("utf-8")
-        self._handle = open(path, "wb")
-        self._handle.write(_FILE_HEADER.pack(
-            RCAP_MAGIC, RCAP_VERSION, world, 0, len(raw_label)
-        ))
-        self._handle.write(raw_label)
 
     def write(
         self,
@@ -148,61 +133,25 @@ class CaptureWriter:
 
     def close(self) -> None:
         with self._lock:
-            if not self._handle.closed:
-                self._handle.flush()
-                self._handle.close()
-
-    def __enter__(self) -> "CaptureWriter":
-        return self
-
-    def __exit__(self, *_exc) -> None:
-        self.close()
+            super().close()
 
 
-class CaptureReader:
+class CaptureReader(EnvelopeReader):
     """Sequential reader over an ``.rcap`` file."""
 
-    def __init__(self, path: str) -> None:
-        self.path = path
-        with open(path, "rb") as handle:
-            self._data = handle.read()
-        if len(self._data) < _FILE_HEADER.size:
-            raise CaptureError("file shorter than the rcap header")
-        magic, version, world, _reserved, label_len = _FILE_HEADER.unpack_from(
-            self._data
-        )
-        if magic != RCAP_MAGIC:
-            raise CaptureError("bad rcap magic %r" % magic)
-        if version != RCAP_VERSION:
-            raise CaptureError("unsupported rcap version %d" % version)
-        if world not in WORLD_NAMES:
-            raise CaptureError("unknown capture world %d" % world)
-        body_start = _FILE_HEADER.size + label_len
-        if body_start > len(self._data):
-            raise CaptureError("truncated rcap label")
-        self.world = world
-        self.world_name = WORLD_NAMES[world]
-        try:
-            self.label = self._data[_FILE_HEADER.size:body_start].decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise CaptureError("invalid rcap label: %s" % exc)
-        self._body_start = body_start
-        #: Set by iteration when the file ends mid-record (crashed writer).
-        self.truncated_tail = False
+    FORMAT = RCAP
 
     def __iter__(self) -> Iterator[CaptureRecord]:
         data = self._data
         pos = self._body_start
         size = len(data)
         while pos < size:
-            if pos + _RECORD_HEADER.size > size:
-                self.truncated_tail = True
+            if self._truncated(pos + _RECORD_HEADER.size):
                 return
             (timestamp, src, dst, traffic, _r1, _r2,
              blob_len) = _RECORD_HEADER.unpack_from(data, pos)
             pos += _RECORD_HEADER.size
-            if pos + blob_len > size:
-                self.truncated_tail = True
+            if self._truncated(pos + blob_len):
                 return
             yield CaptureRecord(
                 timestamp, src, dst, traffic, data[pos:pos + blob_len]

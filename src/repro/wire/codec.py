@@ -16,6 +16,13 @@ raise :class:`DecodeError` — nothing is ever executed from the wire,
 unlike pickle.  Every message type round-trips exactly
 (``decode(encode(m)) == m``).
 
+One private worker, ``_decode``, decodes every frame: it checks the
+envelope once and hands data bodies — top-level, inside a jumbo, or
+embedded in a payload value — to the one data-body decoder.
+:func:`decode` and :func:`decode_detail` are thin views of its result.
+The worker is zero-copy: it reads the buffer in place, and only a raw
+payload is copied out.
+
 The token body is laid out so that an empty-rtr token encodes to exactly
 :data:`repro.core.messages.TOKEN_BASE_SIZE` (72) bytes and each
 retransmission request adds :data:`~repro.core.messages.TOKEN_RTR_ENTRY_SIZE`
@@ -32,7 +39,6 @@ software from a configuration).
 
 from __future__ import annotations
 
-import math
 import struct
 import zlib
 from typing import Any, Dict, NamedTuple, Tuple
@@ -134,10 +140,12 @@ _HEADER = struct.Struct("<2sBBII")
 #: Frame header size: magic, version, type, body length, CRC-32.
 HEADER_SIZE = _HEADER.size  # 12
 
-# -- message types -----------------------------------------------------------
+# -- message types and value tags ---------------------------------------------
 # Tag numbers live in repro.wire.tags (the single registry the wire-drift
 # lint checks for uniqueness); imported above and re-exported here so
 # existing callers keep reading codec.TYPE_* / codec.TYPE_NAMES.
+# Primitive VALUE_* and OBJECT_TAG_* tags share one byte-space, so the
+# registry keeps them jointly unique.
 
 # -- fixed body layouts ------------------------------------------------------
 
@@ -201,30 +209,11 @@ _U64_MAX = 0xFFFFFFFFFFFFFFFF
 _I64_MIN = -(1 << 63)
 _I64_MAX = (1 << 63) - 1
 
-#: Bound on value-codec nesting, so a crafted datagram cannot drive the
-#: decoder into a RecursionError (which would escape DecodeError).
+#: Bound on nesting — payload values plus the frames embedded in them or
+#: in a recovery-data frame — so a crafted datagram cannot drive the
+#: decoder (nor a deep payload the encoder) into a RecursionError, which
+#: would escape DecodeError/EncodeError.
 _MAX_DEPTH = 64
-
-# -- value codec tags --------------------------------------------------------
-# TLV tag numbers also live in repro.wire.tags; primitive VALUE_* and
-# OBJECT_TAG_* share one byte-space, so the registry keeps them jointly
-# unique.  The private _V_* aliases preserve the codec's internal idiom.
-
-_V_NONE = VALUE_NONE
-_V_TRUE = VALUE_TRUE
-_V_FALSE = VALUE_FALSE
-_V_INT64 = VALUE_INT64
-_V_BIGINT = VALUE_BIGINT
-_V_FLOAT = VALUE_FLOAT
-_V_BYTES = VALUE_BYTES
-_V_STR = VALUE_STR
-_V_TUPLE = VALUE_TUPLE
-_V_LIST = VALUE_LIST
-_V_DICT = VALUE_DICT
-_V_FROZENSET = VALUE_FROZENSET
-_V_SET = VALUE_SET
-_V_SERVICE = VALUE_SERVICE
-_V_DATA_MESSAGE = VALUE_DATA_MESSAGE
 
 #: Registered protocol dataclasses: tag -> (class, field names).  The
 #: field list is the wire schema — append-only within a wire version.
@@ -307,37 +296,37 @@ def _encode_value(value: Any, out: bytearray, depth: int = 0) -> None:
     if depth > _MAX_DEPTH:
         raise EncodeError("payload nesting exceeds %d levels" % _MAX_DEPTH)
     if value is None:
-        out.append(_V_NONE)
+        out.append(VALUE_NONE)
     elif value is True:
-        out.append(_V_TRUE)
+        out.append(VALUE_TRUE)
     elif value is False:
-        out.append(_V_FALSE)
+        out.append(VALUE_FALSE)
     elif type(value) is int:
         if _I64_MIN <= value <= _I64_MAX:
-            out.append(_V_INT64)
+            out.append(VALUE_INT64)
             out += _I64.pack(value)
         else:
             raw = value.to_bytes((value.bit_length() + 8) // 8, "big", signed=True)
-            out.append(_V_BIGINT)
+            out.append(VALUE_BIGINT)
             out += _u32(len(raw), "bigint length")
             out += raw
     elif type(value) is float:
-        out.append(_V_FLOAT)
+        out.append(VALUE_FLOAT)
         out += _F64.pack(value)
     elif type(value) is bytes:
-        out.append(_V_BYTES)
+        out.append(VALUE_BYTES)
         out += _u32(len(value), "bytes length")
         out += value
     elif type(value) is str:
-        out.append(_V_STR)
+        out.append(VALUE_STR)
         out += _encode_str(value)
     elif type(value) is tuple or type(value) is list:
-        out.append(_V_TUPLE if type(value) is tuple else _V_LIST)
+        out.append(VALUE_TUPLE if type(value) is tuple else VALUE_LIST)
         out += _u32(len(value), "sequence length")
         for item in value:
             _encode_value(item, out, depth + 1)
     elif type(value) is dict:
-        out.append(_V_DICT)
+        out.append(VALUE_DICT)
         out += _u32(len(value), "dict length")
         for key, item in value.items():
             _encode_value(key, out, depth + 1)
@@ -345,7 +334,7 @@ def _encode_value(value: Any, out: bytearray, depth: int = 0) -> None:
     elif type(value) is frozenset or type(value) is set:
         # Sets have no iteration order; sort the encoded items so equal
         # sets always produce identical bytes (determinism contract).
-        out.append(_V_FROZENSET if type(value) is frozenset else _V_SET)
+        out.append(VALUE_FROZENSET if type(value) is frozenset else VALUE_SET)
         out += _u32(len(value), "set length")
         encoded = []
         for item in value:
@@ -355,11 +344,13 @@ def _encode_value(value: Any, out: bytearray, depth: int = 0) -> None:
         for chunk in sorted(encoded):
             out += chunk
     elif type(value) is Service:
-        out.append(_V_SERVICE)
+        out.append(VALUE_SERVICE)
         out.append(_SERVICE_CODES[value])
     elif type(value) is DataMessage:
-        blob = encode(value)
-        out.append(_V_DATA_MESSAGE)
+        # Framed here rather than through encode() so the nesting depth
+        # carries into the embedded message's own payload.
+        blob = _frame(TYPE_DATA, _encode_data_body(value, 0, depth + 1))
+        out.append(VALUE_DATA_MESSAGE)
         out += _u32(len(blob), "nested frame length")
         out += blob
     else:
@@ -376,7 +367,9 @@ def _encode_value(value: Any, out: bytearray, depth: int = 0) -> None:
             _encode_value(getattr(value, name), out, depth + 1)
 
 
-def _encode_data_body(message: DataMessage, ring_id: int) -> bytes:
+def _encode_data_body(
+    message: DataMessage, ring_id: int, depth: int = 0
+) -> bytes:
     payload = message.payload
     if payload is None:
         kind, tail = _PAYLOAD_NONE, b""
@@ -384,7 +377,7 @@ def _encode_data_body(message: DataMessage, ring_id: int) -> bytes:
         kind, tail = _PAYLOAD_RAW, payload
     else:
         chunk = bytearray()
-        _encode_value(payload, chunk)
+        _encode_value(payload, chunk, depth)
         kind, tail = _PAYLOAD_VALUE, bytes(chunk)
     flags = 0
     if message.sent_after_token:
@@ -551,7 +544,7 @@ def encode(message: Any, ring_id: int = 0) -> bytes:
             _check_u64(message.new_ring_id, "new_ring_id"),
         ))
     if kind is JumboDatagram:
-        return _frame(TYPE_JUMBO, _encode_jumbo_body(message.messages, ring_id))
+        return encode_jumbo(message.messages, ring_id)
     if kind is GossipPing or kind is GossipAck:
         body = _GOSSIP_BODY.pack(
             _check_u64(message.sender, "sender"),
@@ -574,31 +567,6 @@ def encode(message: Any, ring_id: int = 0) -> bytes:
     )
 
 
-def _encode_jumbo_body(messages, ring_id: int) -> bytes:
-    bodies = []
-    for message in messages:
-        # Only data packets coalesce: the token is never jumbo-framed
-        # (it flushes the batch and departs alone, for latency), and
-        # control-plane traffic is too rare to be worth amortizing.
-        if type(message) is not DataMessage:
-            raise EncodeError(
-                "jumbo datagrams carry only data packets, got %s"
-                % type(message).__name__
-            )
-        bodies.append(_encode_data_body(message, ring_id))
-    return _jumbo_body(bodies)
-
-
-def _jumbo_body(bodies) -> bytes:
-    if not bodies:
-        raise EncodeError("a jumbo datagram needs at least one packet")
-    parts = [_u32(len(bodies), "jumbo packet count")]
-    for body in bodies:
-        parts.append(_JUMBO_ENTRY.pack(TYPE_DATA, len(body)))
-        parts.append(body)
-    return b"".join(parts)
-
-
 def encode_jumbo(messages, ring_id: int = 0) -> bytes:
     """Encode several data packets as one jumbo datagram.
 
@@ -607,25 +575,31 @@ def encode_jumbo(messages, ring_id: int = 0) -> bytes:
     ``decode`` returns the whole datagram as a
     :class:`~repro.core.coalesce.JumboDatagram`.
     """
-    return _frame(TYPE_JUMBO, _encode_jumbo_body(tuple(messages), ring_id))
+    return frame_jumbo([encode(message, ring_id) for message in messages])
 
 
 def frame_jumbo(frames) -> bytes:
     """One jumbo datagram from data frames :func:`encode` already built.
 
     Each frame's body is reused as-is, so a sender that encoded every
-    packet once (to size it) never encodes it again; the bytes equal
-    :func:`encode_jumbo` over the same packets and ring id.
+    packet once (to size it) never encodes it again.  This is the only
+    jumbo framer: :func:`encode_jumbo` encodes its packets and calls it.
     """
-    bodies = []
+    # Only data packets coalesce: the token is never jumbo-framed (it
+    # flushes the batch and departs alone, for latency), and
+    # control-plane traffic is too rare to be worth amortizing.
+    if not frames:
+        raise EncodeError("a jumbo datagram needs at least one packet")
+    parts = [_u32(len(frames), "jumbo packet count")]
     for frame in frames:
         if frame[3] != TYPE_DATA:  # the header's message-type byte
             raise EncodeError(
                 "jumbo datagrams carry only data packets, got type %d"
                 % frame[3]
             )
-        bodies.append(memoryview(frame)[HEADER_SIZE:])
-    return _frame(TYPE_JUMBO, _jumbo_body(bodies))
+        parts.append(_JUMBO_ENTRY.pack(TYPE_DATA, len(frame) - HEADER_SIZE))
+        parts.append(memoryview(frame)[HEADER_SIZE:])
+    return _frame(TYPE_JUMBO, b"".join(parts))
 
 
 def encoded_size(message: Any, ring_id: int = 0) -> int:
@@ -680,34 +654,34 @@ def _decode_value(reader: _Reader, depth: int = 0) -> Any:
     if depth > _MAX_DEPTH:
         raise DecodeError("payload nesting exceeds %d levels" % _MAX_DEPTH)
     (tag,) = reader.unpack(_U8)
-    if tag == _V_NONE:
+    if tag == VALUE_NONE:
         return None
-    if tag == _V_TRUE:
+    if tag == VALUE_TRUE:
         return True
-    if tag == _V_FALSE:
+    if tag == VALUE_FALSE:
         return False
-    if tag == _V_INT64:
+    if tag == VALUE_INT64:
         return reader.unpack(_I64)[0]
-    if tag == _V_BIGINT:
+    if tag == VALUE_BIGINT:
         (length,) = reader.unpack(_U32)
         return int.from_bytes(reader.take(length), "big", signed=True)
-    if tag == _V_FLOAT:
+    if tag == VALUE_FLOAT:
         return reader.unpack(_F64)[0]
-    if tag == _V_BYTES:
+    if tag == VALUE_BYTES:
         (length,) = reader.unpack(_U32)
         value = reader.take(length)
         # Materialize only this field (a no-op when the buffer is bytes:
         # slicing bytes already produced bytes).
         return value if type(value) is bytes else bytes(value)
-    if tag == _V_STR:
+    if tag == VALUE_STR:
         (length,) = reader.unpack(_U32)
         return _decode_str_bytes(reader.take(length))
-    if tag in (_V_TUPLE, _V_LIST):
+    if tag in (VALUE_TUPLE, VALUE_LIST):
         (count,) = reader.unpack(_U32)
         _check_count(count, reader, 1)
         items = [_decode_value(reader, depth + 1) for _ in range(count)]
-        return tuple(items) if tag == _V_TUPLE else items
-    if tag == _V_DICT:
+        return tuple(items) if tag == VALUE_TUPLE else items
+    if tag == VALUE_DICT:
         (count,) = reader.unpack(_U32)
         _check_count(count, reader, 2)
         result = {}
@@ -718,23 +692,26 @@ def _decode_value(reader: _Reader, depth: int = 0) -> Any:
             except TypeError as exc:  # unhashable key
                 raise DecodeError("unhashable dict key on wire: %s" % exc)
         return result
-    if tag in (_V_FROZENSET, _V_SET):
+    if tag in (VALUE_FROZENSET, VALUE_SET):
         (count,) = reader.unpack(_U32)
         _check_count(count, reader, 1)
         try:
             items = {_decode_value(reader, depth + 1) for _ in range(count)}
         except TypeError as exc:
             raise DecodeError("unhashable set item on wire: %s" % exc)
-        return frozenset(items) if tag == _V_FROZENSET else items
-    if tag == _V_SERVICE:
+        return frozenset(items) if tag == VALUE_FROZENSET else items
+    if tag == VALUE_SERVICE:
         (code,) = reader.unpack(_U8)
         service = _SERVICE_BY_CODE.get(code)
         if service is None:
             raise DecodeError("unknown service code %d" % code)
         return service
-    if tag == _V_DATA_MESSAGE:
+    if tag == VALUE_DATA_MESSAGE:
         (length,) = reader.unpack(_U32)
-        return decode(reader.take(length))
+        msg_type, message, _ring_id = _decode(reader.take(length), depth + 1)
+        if msg_type != TYPE_DATA:
+            raise DecodeError("embedded frame is not a data message")
+        return message
     schema = _OBJECT_SCHEMAS.get(tag)
     if schema is not None:
         cls, fields = schema
@@ -779,62 +756,76 @@ class Decoded(NamedTuple):
     ring_id: int
 
 
-def _decode_data_fixed(blob, pos: int, end: int):
-    """Unpack the fixed data body at ``pos``; returns the raw field tuple.
+#: Complement of the known data flags, for one-test validation.
+_DATA_FLAGS_UNKNOWN = ~(_DATA_FLAG_POST_TOKEN | _DATA_FLAG_HAS_TIMESTAMP)
 
-    Shared by the eager decoder and the lazy :class:`FrameView` peek:
-    validation of the fixed fields happens here, payload decoding does
-    not.
+# Pre-bound hot-path callables: every datagram pays these lookups, so
+# resolve them once at import instead of per decode.
+_CRC32 = zlib.crc32
+_HEADER_UNPACK = _HEADER.unpack_from
+_DATA_BODY_UNPACK = _DATA_BODY.unpack_from
+_DATA_BODY_SIZE = _DATA_BODY.size
+
+
+def _decode_data_body(
+    blob, pos: int, end: int, depth: int
+) -> Tuple[int, DataMessage, int]:
+    """Decode the data body in ``blob[pos:end]``.
+
+    The one data-body decoder: plain data frames, jumbo inner packets
+    and data messages nested in payload values all come through here.
+    It runs once per received packet, so it reads the fixed fields with
+    one ``unpack_from``, builds the message without sub-calls, and
+    returns the worker's ``(TYPE_DATA, message, ring_id)`` triple as is.
     """
-    if pos + _DATA_BODY.size > end:
+    payload_at = pos + _DATA_BODY_SIZE
+    if payload_at > end:
         raise DecodeError("truncated frame body")
-    fields = _DATA_BODY.unpack_from(blob, pos)
     (ring_id, seq, pid, round_, stamp, payload_size,
-     service_code, flags, payload_kind, _reserved) = fields
-    service = _SERVICE_BY_CODE.get(service_code)
-    if service is None:
+     service_code, flags, payload_kind,
+     _reserved) = _DATA_BODY_UNPACK(blob, pos)
+    try:
+        service = _SERVICE_BY_CODE[service_code]
+    except KeyError:
         raise DecodeError("unknown service code %d" % service_code)
-    if flags & ~(_DATA_FLAG_POST_TOKEN | _DATA_FLAG_HAS_TIMESTAMP):
+    if flags & _DATA_FLAGS_UNKNOWN:
         raise DecodeError("unknown data flags 0x%02x" % flags)
-    submitted_at = stamp if flags & _DATA_FLAG_HAS_TIMESTAMP else None
-    if submitted_at is not None and math.isnan(submitted_at):
-        raise DecodeError("NaN submission timestamp")
-    return (ring_id, seq, pid, round_, service, payload_size,
-            flags, payload_kind, submitted_at)
-
-
-def _decode_data_payload(blob, pos: int, end: int, payload_kind: int):
-    """Decode the (possibly TLV) payload region of a data body."""
-    if payload_kind == _PAYLOAD_NONE:
-        if pos != end:
-            raise DecodeError("payload bytes on a payload-less data message")
-        return None
+    if flags & _DATA_FLAG_HAS_TIMESTAMP:
+        if stamp != stamp:  # NaN without a math.isnan call
+            raise DecodeError("NaN submission timestamp")
+        submitted_at = stamp
+    else:
+        submitted_at = None
     if payload_kind == _PAYLOAD_RAW:
         # The single necessary copy: the payload becomes an independent
-        # bytes object (a plain slice when the buffer is already bytes).
-        payload = blob[pos:end]
-        return payload if type(payload) is bytes else bytes(payload)
-    if payload_kind == _PAYLOAD_VALUE:
-        reader = _Reader(blob, pos, end)
-        payload = _decode_value(reader)
+        # bytes object (a plain slice for bytes input).
+        payload = blob[payload_at:end]
+        if type(payload) is not bytes:
+            payload = bytes(payload)
+    elif payload_kind == _PAYLOAD_NONE:
+        if payload_at != end:
+            raise DecodeError("payload bytes on a payload-less data message")
+        payload = None
+    elif payload_kind == _PAYLOAD_VALUE:
+        reader = _Reader(blob, payload_at, end)
+        payload = _decode_value(reader, depth)
         reader.done()
-        return payload
-    raise DecodeError("unknown payload kind %d" % payload_kind)
-
-
-def _decode_data_body(blob, pos: int, end: int) -> Tuple[DataMessage, int]:
-    (ring_id, seq, pid, round_, service, payload_size,
-     flags, payload_kind, submitted_at) = _decode_data_fixed(blob, pos, end)
-    payload = _decode_data_payload(
-        blob, pos + _DATA_BODY.size, end, payload_kind
-    )
-    # Positional construction: this is the decode hot path and the
-    # keyword form measurably slows it down.
-    message = DataMessage(
-        seq, pid, round_, service, payload, payload_size,
-        bool(flags & _DATA_FLAG_POST_TOKEN), submitted_at,
-    )
-    return message, ring_id
+    else:
+        raise DecodeError("unknown payload kind %d" % payload_kind)
+    # Direct slot stores instead of the dataclass __init__: measurably
+    # faster on the per-packet path.  DataMessage has no __post_init__
+    # and exactly these eight fields; keep in sync with
+    # repro.core.messages.
+    message = DataMessage.__new__(DataMessage)
+    message.seq = seq
+    message.pid = pid
+    message.round = round_
+    message.service = service
+    message.payload = payload
+    message.payload_size = payload_size
+    message.sent_after_token = flags & _DATA_FLAG_POST_TOKEN != 0
+    message.submitted_at = submitted_at
+    return TYPE_DATA, message, ring_id
 
 
 #: Bulk rtr formats, one per entry count (tokens carry few requests, so
@@ -903,63 +894,19 @@ def _decode_member_info(reader: _Reader) -> MemberInfo:
     )
 
 
-def _check_frame(blob) -> int:
-    """Validate magic, version, length and CRC; returns the message type.
+def _decode(blob, depth: int = 0) -> Tuple[int, Any, int]:
+    """The one decode worker: ``(msg_type, message, ring_id)``.
 
-    Zero-copy on every path, including errors: the input buffer (bytes,
-    bytearray or memoryview) is never materialized with ``bytes()`` and
-    the CRC is computed over a memoryview slice of the body, not a copy.
-    """
-    blob_len = len(blob)
-    if blob_len < HEADER_SIZE:
-        raise DecodeError(
-            "datagram of %d bytes is shorter than the %d-byte header"
-            % (blob_len, HEADER_SIZE)
-        )
-    magic, version, msg_type, body_len, crc = _HEADER.unpack_from(blob)
-    if magic != MAGIC:
-        raise DecodeError("bad magic %r" % magic)
-    if version != WIRE_VERSION:
-        raise DecodeError(
-            "unsupported wire version %d (this build speaks %d)"
-            % (version, WIRE_VERSION)
-        )
-    if HEADER_SIZE + body_len != blob_len:
-        raise DecodeError(
-            "body length %d disagrees with datagram size %d"
-            % (body_len, blob_len)
-        )
-    if zlib.crc32(memoryview(blob)[HEADER_SIZE:]) & 0xFFFFFFFF != crc:
-        raise DecodeError("CRC mismatch")
-    return msg_type
+    Validates the envelope (magic, version, body length, CRC) exactly
+    once, then dispatches on the type.  Zero-copy on every path, errors
+    included: the input buffer (bytes, bytearray or memoryview) is never
+    materialized, and the CRC runs over a memoryview slice of the body.
 
-
-#: Complement of the known data flags, for one-test validation.
-_DATA_FLAGS_UNKNOWN = ~(_DATA_FLAG_POST_TOKEN | _DATA_FLAG_HAS_TIMESTAMP)
-
-# Pre-bound hot-path callables and offsets: every datagram pays these
-# lookups, so resolve them once at import instead of per decode.
-_CRC32 = zlib.crc32
-_HEADER_UNPACK = _HEADER.unpack_from
-_DATA_BODY_UNPACK = _DATA_BODY.unpack_from
-_DATA_PAYLOAD_OFFSET = HEADER_SIZE + _DATA_BODY.size
-
-
-def decode(blob) -> Any:
-    """Strictly decode one datagram to its protocol message.
-
-    Accepts ``bytes``, ``bytearray`` or ``memoryview`` without copying
-    the input (only the message payload is materialized).  Raises
-    :class:`DecodeError` on anything that is not a well-formed frame of
-    the current wire version.
-
-    The data and token branches intentionally inline the frame check and
-    body decode (rather than calling :func:`_check_frame` and
-    :func:`_decode_data_body`): this is the per-datagram hot path and
-    the Python call overhead of the layered helpers is measurable at
-    wire rate.  The helpers remain the single source of truth for the
-    lazy :class:`FrameView` and :func:`decode_detail` paths; keep the
-    two in sync.
+    ``depth`` counts the levels this frame is nested in — payload values
+    around an embedded data message, or an enclosing recovery-data
+    frame — so the nesting bound holds across frames as well as within
+    one payload.  The bound is checked where nesting happens: in
+    ``_decode_value`` and in the recovery-data arm.
     """
     # The unpack itself is the type/length guard: struct.error means the
     # buffer is shorter than the header, TypeError means it is not a
@@ -990,62 +937,42 @@ def decode(blob) -> Any:
     if _CRC32(memoryview(blob)[HEADER_SIZE:]) & 0xFFFFFFFF != crc:
         raise DecodeError("CRC mismatch")
     if msg_type == TYPE_DATA:
-        pos = _DATA_PAYLOAD_OFFSET
-        if pos > end:
-            raise DecodeError("truncated frame body")
-        (ring_id, seq, pid, round_, stamp, payload_size,
-         service_code, flags, payload_kind,
-         _reserved) = _DATA_BODY_UNPACK(blob, HEADER_SIZE)
-        try:
-            service = _SERVICE_BY_CODE[service_code]
-        except KeyError:
-            raise DecodeError("unknown service code %d" % service_code)
-        if flags & _DATA_FLAGS_UNKNOWN:
-            raise DecodeError("unknown data flags 0x%02x" % flags)
-        if flags & _DATA_FLAG_HAS_TIMESTAMP:
-            if stamp != stamp:  # NaN without a math.isnan call
-                raise DecodeError("NaN submission timestamp")
-            submitted_at = stamp
-        else:
-            submitted_at = None
-        if payload_kind == _PAYLOAD_RAW:
-            # The single necessary copy: the payload becomes an
-            # independent bytes object (a plain slice for bytes input).
-            payload = blob[pos:end]
-            if type(payload) is not bytes:
-                payload = bytes(payload)
-        elif payload_kind == _PAYLOAD_NONE:
-            if pos != end:
-                raise DecodeError("payload bytes on a payload-less data message")
-            payload = None
-        elif payload_kind == _PAYLOAD_VALUE:
-            reader = _Reader(blob, pos, end)
-            payload = _decode_value(reader)
-            reader.done()
-        else:
-            raise DecodeError("unknown payload kind %d" % payload_kind)
-        # Direct slot stores instead of the dataclass __init__: measurably
-        # faster on the per-datagram path.  DataMessage has no
-        # __post_init__ and exactly these eight fields; keep in sync with
-        # repro.core.messages.
-        message = DataMessage.__new__(DataMessage)
-        message.seq = seq
-        message.pid = pid
-        message.round = round_
-        message.service = service
-        message.payload = payload
-        message.payload_size = payload_size
-        message.sent_after_token = flags & _DATA_FLAG_POST_TOKEN != 0
-        message.submitted_at = submitted_at
-        return message
+        return _decode_data_body(blob, HEADER_SIZE, end, depth)
     if msg_type == TYPE_TOKEN:
-        return _decode_token_body(blob, HEADER_SIZE, end)
+        message = _decode_token_body(blob, HEADER_SIZE, end)
+        return msg_type, message, message.ring_id
     if msg_type == TYPE_JUMBO:
-        return _decode_jumbo_body(blob, HEADER_SIZE, end)[0]
-    return _decode_control(blob, msg_type, end)[0]
+        message, ring_id = _decode_jumbo_body(blob, HEADER_SIZE, end, depth)
+    else:
+        message, ring_id = _decode_control(blob, msg_type, end, depth)
+    return msg_type, message, ring_id
 
 
-def _decode_jumbo_body(blob, pos: int, end: int) -> Tuple[JumboDatagram, int]:
+def decode(blob) -> Any:
+    """Strictly decode one datagram to its protocol message.
+
+    Accepts ``bytes``, ``bytearray`` or ``memoryview`` without copying
+    the input (only a raw message payload is materialized).  Raises
+    :class:`DecodeError` on anything that is not a well-formed frame of
+    the current wire version.
+    """
+    return _decode(blob)[1]
+
+
+def decode_detail(blob) -> Decoded:
+    """Strictly decode one datagram, keeping its envelope metadata.
+
+    Same worker, checks and zero-copy contract as :func:`decode`; the
+    result also names the frame type and carries the frame's ring id
+    (for a jumbo, its first packet's).
+    """
+    msg_type, message, ring_id = _decode(blob)
+    return Decoded(TYPE_NAMES[msg_type], message, ring_id)
+
+
+def _decode_jumbo_body(
+    blob, pos: int, end: int, depth: int
+) -> Tuple[JumboDatagram, int]:
     """Decode a jumbo body to (JumboDatagram, first packet's ring_id)."""
     if pos + _U32.size > end:
         raise DecodeError("truncated frame body")
@@ -1073,7 +1000,7 @@ def _decode_jumbo_body(blob, pos: int, end: int) -> Tuple[JumboDatagram, int]:
         inner_end = pos + body_len
         if inner_end > end:
             raise DecodeError("jumbo entry overruns the datagram")
-        message, inner_ring = _decode_data_body(blob, pos, inner_end)
+        _, message, inner_ring = _decode_data_body(blob, pos, inner_end, depth)
         if index == 0:
             ring_id = inner_ring
         messages.append(message)
@@ -1083,7 +1010,9 @@ def _decode_jumbo_body(blob, pos: int, end: int) -> Tuple[JumboDatagram, int]:
     return JumboDatagram(tuple(messages)), ring_id
 
 
-def _decode_control(blob, msg_type: int, end: int) -> Tuple[Any, int]:
+def _decode_control(
+    blob, msg_type: int, end: int, depth: int
+) -> Tuple[Any, int]:
     """Decode the rare control-plane frame types; returns (message, ring_id)."""
     reader = _Reader(blob, HEADER_SIZE, end)
     ring_id = 0
@@ -1112,7 +1041,9 @@ def _decode_control(blob, msg_type: int, end: int) -> Tuple[Any, int]:
         ring_id = new_ring_id
     elif msg_type == TYPE_RECOVERY_DATA:
         sender, old_ring_id, nested_len = reader.unpack(_RECOVERY_BODY)
-        nested = decode(reader.take(nested_len))
+        if depth >= _MAX_DEPTH:
+            raise DecodeError("frame nesting exceeds %d levels" % _MAX_DEPTH)
+        nested = _decode(reader.take(nested_len), depth + 1)[1]
         if type(nested) is not DataMessage:
             raise DecodeError("recovery-data frame carries a non-data message")
         message = RecoveryData(
@@ -1154,115 +1085,3 @@ def _decode_gossip_updates(reader: _Reader) -> Tuple[GossipUpdate, ...]:
             raise DecodeError("unknown gossip status %d" % status)
         updates.append(GossipUpdate(pid, incarnation, status))
     return tuple(updates)
-
-
-def decode_detail(blob) -> Decoded:
-    """Strictly decode one datagram, keeping envelope metadata.
-
-    Accepts ``bytes``, ``bytearray`` or ``memoryview`` without copying
-    the input (only message payload bytes are materialized).  Raises
-    :class:`DecodeError` on anything that is not a well-formed frame of
-    the current wire version.
-    """
-    if not isinstance(blob, (bytes, bytearray, memoryview)):
-        raise DecodeError("expected bytes, got %r" % type(blob).__name__)
-    msg_type = _check_frame(blob)
-    end = len(blob)
-    if msg_type == TYPE_DATA:
-        message, ring_id = _decode_data_body(blob, HEADER_SIZE, end)
-    elif msg_type == TYPE_TOKEN:
-        message = _decode_token_body(blob, HEADER_SIZE, end)
-        ring_id = message.ring_id
-    elif msg_type == TYPE_JUMBO:
-        message, ring_id = _decode_jumbo_body(blob, HEADER_SIZE, end)
-    else:
-        message, ring_id = _decode_control(blob, msg_type, end)
-    return Decoded(TYPE_NAMES[msg_type], message, ring_id)
-
-
-class FrameView:
-    """Lazy view of one validated data/token frame.
-
-    ``decode_frame`` validates the envelope and unpacks the fixed body
-    fields eagerly — enough for routing, filtering and statistics — but
-    defers TLV/payload decoding until :attr:`message` is first read.
-    Header-only consumers (capture summaries, per-type counters,
-    ring-id demultiplexers) therefore never pay for payload decoding.
-
-    Only ``data`` and ``token`` frames support the lazy split; control
-    frames (probe/join/commit/recovery) are rare and decode eagerly.
-    """
-
-    __slots__ = ("kind", "ring_id", "_blob", "_type", "_fixed", "_message")
-
-    def __init__(self, blob, msg_type: int, ring_id: int, fixed):
-        self.kind = TYPE_NAMES[msg_type]
-        self.ring_id = ring_id
-        self._blob = blob
-        self._type = msg_type
-        self._fixed = fixed
-        self._message = None
-
-    # -- header-only accessors (no payload decode) ----------------------
-    @property
-    def seq(self) -> int:
-        # Data fixed tuple: (ring_id, seq, ...); token: (ring_id, hop, seq, ...)
-        return self._fixed[1 if self._type == TYPE_DATA else 2]
-
-    @property
-    def pid(self) -> int:
-        """Sender pid for data frames; ``None`` for tokens."""
-        return self._fixed[2] if self._type == TYPE_DATA else None
-
-    @property
-    def payload_size(self) -> int:
-        """Declared payload size for data frames; 0 for tokens."""
-        return self._fixed[5] if self._type == TYPE_DATA else 0
-
-    # -- full decode, on demand ----------------------------------------
-    @property
-    def message(self) -> Any:
-        """The decoded protocol message (payload decoded on first access)."""
-        message = self._message
-        if message is None:
-            blob = self._blob
-            if self._type == TYPE_DATA:
-                (_, seq, pid, round_, service, payload_size,
-                 flags, payload_kind, submitted_at) = self._fixed
-                payload = _decode_data_payload(
-                    blob, HEADER_SIZE + _DATA_BODY.size, len(blob), payload_kind
-                )
-                message = DataMessage(
-                    seq, pid, round_, service, payload, payload_size,
-                    bool(flags & _DATA_FLAG_POST_TOKEN), submitted_at,
-                )
-            else:
-                message = _decode_token_body(blob, HEADER_SIZE, len(blob))
-            self._message = message
-            self._blob = None  # release the buffer once fully decoded
-        return message
-
-
-def decode_frame(blob) -> Any:
-    """Decode one datagram lazily where possible.
-
-    Returns a :class:`FrameView` for data and token frames — envelope
-    and fixed fields validated, payload decoding deferred — and a plain
-    :class:`Decoded` for the rare control-plane frame types.
-    """
-    if not isinstance(blob, (bytes, bytearray, memoryview)):
-        raise DecodeError("expected bytes, got %r" % type(blob).__name__)
-    msg_type = _check_frame(blob)
-    if msg_type == TYPE_DATA:
-        fixed = _decode_data_fixed(blob, HEADER_SIZE, len(blob))
-        return FrameView(blob, msg_type, fixed[0], fixed)
-    if msg_type == TYPE_TOKEN:
-        if HEADER_SIZE + _TOKEN_BODY.size > len(blob):
-            raise DecodeError("truncated frame body")
-        fixed = _TOKEN_BODY.unpack_from(blob, HEADER_SIZE)
-        return FrameView(blob, msg_type, fixed[0], fixed)
-    if msg_type == TYPE_JUMBO:
-        message, ring_id = _decode_jumbo_body(blob, HEADER_SIZE, len(blob))
-    else:
-        message, ring_id = _decode_control(blob, msg_type, len(blob))
-    return Decoded(TYPE_NAMES[msg_type], message, ring_id)

@@ -13,6 +13,7 @@ import socket
 from typing import Callable, Iterator, List, Sequence
 
 from . import codec
+from .tags import VALUE_DATA_MESSAGE
 
 Mutator = Callable[[bytes, random.Random], bytes]
 
@@ -78,6 +79,38 @@ def mutations(
             continue
         produced += 1
         yield mutated
+
+
+def nested_frames(depth: int, seed: int = 0) -> bytes:
+    """A data frame embedding a data frame in its payload, ``depth`` deep.
+
+    The innermost frame is a payload-less data message; each level wraps
+    the frame so far as its payload value.  Every level costs 65 bytes,
+    so 922 levels (59,990 bytes) still fit under the UDP transport's
+    60,000-byte datagram limit.  The seed draws each level's fixed
+    fields; the shape depends on ``depth`` alone.  Chains of up to the
+    codec's nesting bound decode; deeper ones must fail with
+    ``DecodeError``, never ``RecursionError``.
+    """
+    rng = random.Random(seed)
+
+    def data_frame(kind: int, tail: bytes) -> bytes:
+        flags = rng.randrange(4)  # post-token and timestamp bits
+        stamp = rng.random() if flags & codec._DATA_FLAG_HAS_TIMESTAMP else 0.0
+        body = codec._DATA_BODY.pack(
+            0,  # ring id: embedded frames carry none
+            rng.randrange(1 << 32), rng.randrange(64), rng.randrange(1 << 16),
+            stamp, rng.randrange(1 << 16), rng.randrange(4), flags, kind, 0,
+        )
+        return codec._frame(codec.TYPE_DATA, body + tail)
+
+    blob = data_frame(codec._PAYLOAD_NONE, b"")
+    for _ in range(depth):
+        blob = data_frame(
+            codec._PAYLOAD_VALUE,
+            bytes((VALUE_DATA_MESSAGE,)) + codec._U32.pack(len(blob)) + blob,
+        )
+    return blob
 
 
 def is_clean_failure(blob: bytes) -> bool:

@@ -7,17 +7,10 @@ A trace is a flat binary file of fixed-size lifecycle records — one per
 emulation write the *same* format, so one analyzer
 (``python -m repro.cli trace-analyze``) serves both.
 
-File layout::
-
-    offset  size  field
-    0       4     magic b"RTRC"
-    4       2     trace format version (currently 1)
-    6       1     world: 0 = sim, 1 = emulation
-    7       1     clock: 0 = sim time, 1 = wall (monotonic) time
-    8       4     label length
-    12      ...   UTF-8 label (free-form, e.g. the run's parameters)
-
-followed by zero or more fixed-size 26-byte records::
+The file opens with the envelope shared with ``.rcap``
+(:mod:`repro.wire.filefmt`): magic b"RTRC", format version 1, the
+world, the clock (0 = sim time, 1 = wall (monotonic) time) and the
+label.  Zero or more fixed-size 26-byte records follow::
 
     0       8     timestamp, seconds (f64; sim or monotonic per header)
     8       1     stage id (repro.obs.lifecycle.STAGE_*)
@@ -27,8 +20,7 @@ followed by zero or more fixed-size 26-byte records::
     18      4     message sequence number (u32; round id for token stages)
     22      4     aux (u32; stage-specific flags/payload, see lifecycle.py)
 
-Records are appended in stamp order; truncated tails (a crashed writer)
-are detected, reported, and do not invalidate records before them.
+Records are appended in stamp order.
 
 A JSONL flavor (one ``{"t", "stage", "node", "origin", "seq", "aux"}``
 object per line) exists for eyeballing and interop; ``load_trace``
@@ -41,18 +33,20 @@ import json
 import struct
 from typing import Iterator, List, NamedTuple, Optional, TextIO
 
-RTRACE_MAGIC = b"RTRC"
-RTRACE_VERSION = 1
-
-TRACE_WORLD_SIM = 0
-TRACE_WORLD_EMULATION = 1
-TRACE_WORLD_NAMES = {TRACE_WORLD_SIM: "sim", TRACE_WORLD_EMULATION: "emulation"}
+# WORLD_* are re-exported: trace writers name their world through here.
+from .filefmt import (
+    WORLD_EMULATION,
+    WORLD_NAMES,
+    WORLD_SIM,
+    EnvelopeReader,
+    EnvelopeWriter,
+    FileFormat,
+)
 
 CLOCK_SIM = 0
 CLOCK_WALL = 1
 CLOCK_NAMES = {CLOCK_SIM: "sim", CLOCK_WALL: "wall"}
 
-_FILE_HEADER = struct.Struct("<4sHBBI")
 _RECORD = struct.Struct("<dBBiiII")
 
 #: Public alias: the fixed record codec.  The lifecycle tracer packs
@@ -72,6 +66,9 @@ class TraceFormatError(ValueError):
     """The file is not a readable ``.rtrace`` trace."""
 
 
+RTRACE = FileFormat(b"RTRC", 1, "rtrace", TraceFormatError)
+
+
 class TraceRecord(NamedTuple):
     """One lifecycle stamp."""
 
@@ -83,27 +80,18 @@ class TraceRecord(NamedTuple):
     aux: int  #: stage-specific flags (see :mod:`repro.obs.lifecycle`).
 
 
-class TraceWriter:
+class TraceWriter(EnvelopeWriter):
     """Append-only ``.rtrace`` writer."""
+
+    FORMAT = RTRACE
 
     def __init__(
         self, path: str, world: int, clock: int, label: str = ""
     ) -> None:
-        if world not in TRACE_WORLD_NAMES:
-            raise ValueError("unknown trace world %r" % (world,))
         if clock not in CLOCK_NAMES:
             raise ValueError("unknown trace clock %r" % (clock,))
-        self.path = path
-        self.world = world
+        super().__init__(path, world, clock, label)
         self.clock = clock
-        self.label = label
-        self.records_written = 0
-        raw_label = label.encode("utf-8")
-        self._handle = open(path, "wb")
-        self._handle.write(_FILE_HEADER.pack(
-            RTRACE_MAGIC, RTRACE_VERSION, world, clock, len(raw_label)
-        ))
-        self._handle.write(raw_label)
 
     def write(
         self, t: float, stage: int, node: int, origin: int, seq: int, aux: int
@@ -129,52 +117,18 @@ class TraceWriter:
         self._handle.write(data)
         self.records_written += len(data) // RECORD_SIZE
 
-    def close(self) -> None:
-        if not self._handle.closed:
-            self._handle.flush()
-            self._handle.close()
-
-    def __enter__(self) -> "TraceWriter":
-        return self
-
-    def __exit__(self, *_exc) -> None:
-        self.close()
-
-
-class TraceReader:
+class TraceReader(EnvelopeReader):
     """Sequential reader over an ``.rtrace`` file."""
 
+    FORMAT = RTRACE
+
     def __init__(self, path: str) -> None:
-        self.path = path
-        with open(path, "rb") as handle:
-            self._data = handle.read()
-        if len(self._data) < _FILE_HEADER.size:
-            raise TraceFormatError("file shorter than the rtrace header")
-        magic, version, world, clock, label_len = _FILE_HEADER.unpack_from(
-            self._data
-        )
-        if magic != RTRACE_MAGIC:
-            raise TraceFormatError("bad rtrace magic %r" % magic)
-        if version != RTRACE_VERSION:
-            raise TraceFormatError("unsupported rtrace version %d" % version)
-        if world not in TRACE_WORLD_NAMES:
-            raise TraceFormatError("unknown trace world %d" % world)
+        super().__init__(path)
+        clock = self._format_byte
         if clock not in CLOCK_NAMES:
             raise TraceFormatError("unknown trace clock %d" % clock)
-        body_start = _FILE_HEADER.size + label_len
-        if body_start > len(self._data):
-            raise TraceFormatError("truncated rtrace label")
-        self.world = world
-        self.world_name = TRACE_WORLD_NAMES[world]
         self.clock = clock
         self.clock_name = CLOCK_NAMES[clock]
-        try:
-            self.label = self._data[_FILE_HEADER.size:body_start].decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise TraceFormatError("invalid rtrace label: %s" % exc)
-        self._body_start = body_start
-        #: Set by iteration when the file ends mid-record (crashed writer).
-        self.truncated_tail = False
 
     def __iter__(self) -> Iterator[TraceRecord]:
         data = self._data
@@ -183,8 +137,7 @@ class TraceReader:
         record_size = _RECORD.size
         unpack_from = _RECORD.unpack_from
         while pos < size:
-            if pos + record_size > size:
-                self.truncated_tail = True
+            if self._truncated(pos + record_size):
                 return
             t, stage, _reserved, node, origin, seq, aux = unpack_from(data, pos)
             yield TraceRecord(t, stage, node, origin, seq, aux)
@@ -198,8 +151,8 @@ def write_jsonl(
 ) -> int:
     """Write records as JSONL with a leading header object; returns count."""
     handle.write(json.dumps({
-        "rtrace": RTRACE_VERSION,
-        "world": TRACE_WORLD_NAMES[world],
+        "rtrace": RTRACE.version,
+        "world": WORLD_NAMES[world],
         "clock": CLOCK_NAMES[clock],
         "label": label,
     }, sort_keys=True))
@@ -228,7 +181,7 @@ def read_jsonl(path: str) -> "LoadedTrace":
             raise TraceFormatError("not a JSONL trace: %s" % exc)
         if not isinstance(header, dict) or "rtrace" not in header:
             raise TraceFormatError("JSONL trace missing rtrace header line")
-        if header["rtrace"] != RTRACE_VERSION:
+        if header["rtrace"] != RTRACE.version:
             raise TraceFormatError(
                 "unsupported rtrace version %r" % header["rtrace"]
             )
@@ -265,7 +218,7 @@ def load_trace(path: str) -> LoadedTrace:
     """Load a trace from either flavor (binary sniffed by magic)."""
     with open(path, "rb") as handle:
         magic = handle.read(4)
-    if magic == RTRACE_MAGIC:
+    if magic == RTRACE.magic:
         reader = TraceReader(path)
         records = list(reader)
         return LoadedTrace(

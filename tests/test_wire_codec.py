@@ -19,6 +19,7 @@ from repro.membership.messages import (
 from repro.spreadlike.protocol import ClientId, GroupCast, GroupMessage
 from repro.wire import codec
 from repro.wire.codec import DecodeError, EncodeError, decode, decode_detail, encode
+from repro.wire.tags import VALUE_DATA_MESSAGE
 
 
 def data_message(**overrides):
@@ -209,6 +210,50 @@ def test_deep_nesting_rejected_on_encode():
         nested = (nested,)
     with pytest.raises(EncodeError, match="nesting"):
         encode(data_message(payload=nested))
+    # Depth carries across embedded data messages: each nests its
+    # payload one level deeper, so a chain of them hits the same bound.
+    message = data_message(payload=None)
+    for _ in range(200):
+        message = data_message(payload=message)
+    with pytest.raises(EncodeError, match="nesting"):
+        encode(message)
+
+
+def test_deep_nesting_rejected_on_decode():
+    from repro.wire import fuzz
+
+    # 922 nested data frames: 59,990 bytes, a datagram the UDP transport
+    # accepts.  Each decoder must reject it cleanly, not recurse out.
+    blob = fuzz.nested_frames(922)
+    assert len(blob) == 59_990
+    for decoder in (decode, decode_detail):
+        with pytest.raises(DecodeError, match="nesting"):
+            decoder(blob)
+    # A chain within the bound still round-trips.
+    shallow = fuzz.nested_frames(10)
+    assert encode(decode(shallow)) == shallow
+
+
+def test_deep_recovery_nesting_rejected_on_decode():
+    # Recovery-data frames nested in each other: rejected by the nesting
+    # bound before the innermost one is reached, not by RecursionError.
+    blob = encode(data_message())
+    for _ in range(1800):
+        body = struct.pack("<QQI", 1, 3, len(blob)) + blob
+        blob = codec._frame(codec.TYPE_RECOVERY_DATA, body)
+    with pytest.raises(DecodeError, match="nesting"):
+        decode(blob)
+
+
+def test_embedded_frame_must_be_a_data_message():
+    inner = encode(Token())
+    value = bytes((VALUE_DATA_MESSAGE,)) + struct.pack("<I", len(inner))
+    body = codec._encode_data_body(data_message(payload=None), 0)
+    # Switch the payload kind byte (the fixed body's second-to-last) to
+    # "value" and append the token where a data frame belongs.
+    body = body[:-2] + bytes((codec._PAYLOAD_VALUE, 0)) + value + inner
+    with pytest.raises(DecodeError, match="not a data message"):
+        decode(codec._frame(codec.TYPE_DATA, body))
 
 
 def test_set_encoding_is_order_independent():

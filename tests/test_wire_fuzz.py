@@ -54,6 +54,26 @@ def test_each_mutator_is_crash_free(blob, seed):
         assert fuzz.is_clean_failure(mutator(blob, rng))
 
 
+#: Deepest nested_frames chain that fits in one UDP datagram (65 B/level).
+MAX_NESTED_DEPTH = (MAX_DATAGRAM - codec.DATA_HEADER_SIZE) // 65
+
+
+@EXAMPLES
+@given(depth=st.integers(0, MAX_NESTED_DEPTH),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_nested_frames_never_crash_the_decoder(depth, seed):
+    blob = fuzz.nested_frames(depth, seed)
+    assert len(blob) <= MAX_DATAGRAM
+    assert fuzz.is_clean_failure(blob)
+    # Chains within the codec's nesting bound are valid frames.
+    try:
+        codec.decode(blob)
+    except codec.DecodeError:
+        assert depth > codec._MAX_DEPTH
+    else:
+        assert depth <= codec._MAX_DEPTH
+
+
 def test_corpus_is_deterministic_and_fully_rejected():
     first = fuzz.corpus(7, 200)
     assert first == fuzz.corpus(7, 200)
@@ -93,6 +113,27 @@ def test_transport_counts_malformed_and_oversize_drops():
         assert transport.drops_oversize == 1
         assert transport.datagrams_received == 0
         assert transport.last_decode_error
+    finally:
+        transport.close()
+
+
+def test_transport_drops_deeply_nested_datagram_and_keeps_going():
+    from repro.core.messages import DataMessage
+
+    transport = UdpTransport(pid=0)
+    try:
+        valid = DataMessage(seq=1, pid=9, round=1, service=Service.AGREED,
+                            payload=b"after", payload_size=5)
+        fuzz.spray(transport.host, [transport.ports.data_port],
+                   [fuzz.nested_frames(MAX_NESTED_DEPTH), codec.encode(valid)])
+        received = []
+        deadline = time.monotonic() + 5.0
+        while time.monotonic() < deadline and not received:
+            data, _tokens = transport.poll(0.05)
+            received.extend(data)
+        assert transport.drops_malformed == 1
+        assert "nesting" in transport.last_decode_error
+        assert received == [valid]
     finally:
         transport.close()
 

@@ -14,10 +14,10 @@ exact allowed set.
 
 import pytest
 
-from repro.core import Service, Token
+from repro.core import JumboDatagram, Service, Token
 from repro.core.messages import DataMessage
 from repro.wire import codec
-from repro.wire.codec import DecodeError, decode, decode_detail, decode_frame, encode
+from repro.wire.codec import DecodeError, decode, decode_detail, encode
 
 
 class TrackingBytes(bytes):
@@ -57,14 +57,19 @@ def data_message(**overrides):
 
 PAYLOAD_OFFSET = codec.HEADER_SIZE + codec._DATA_BODY.size
 
+#: Both public entry points share one worker; each test holds for both
+#: (a loop rather than parametrize: one test id per contract).
+DECODERS = (decode, lambda blob: decode_detail(blob).message)
+
 
 def test_data_decode_copies_only_the_payload():
-    blob = tracked(data_message())
-    message = decode(blob)
-    assert message == data_message()
-    # Exactly one slice — the payload — and no whole-frame materialization.
-    assert blob.slices == [(PAYLOAD_OFFSET, len(blob))]
-    assert blob.materializations == 0
+    for decoder in DECODERS:
+        blob = tracked(data_message())
+        assert decoder(blob) == data_message()
+        # Exactly one slice — the payload — and no whole-frame
+        # materialization.
+        assert blob.slices == [(PAYLOAD_OFFSET, len(blob))]
+        assert blob.materializations == 0
 
 
 def test_payload_is_an_independent_plain_bytes():
@@ -75,19 +80,46 @@ def test_payload_is_an_independent_plain_bytes():
 
 
 def test_token_decode_is_fully_zero_copy():
-    blob = tracked(Token(ring_id=6, hop=41, seq=1000, aru=990, aru_id=3,
-                         fcc=17, rtr=(991, 995, 999)))
-    assert decode(blob) == Token(ring_id=6, hop=41, seq=1000, aru=990,
-                                 aru_id=3, fcc=17, rtr=(991, 995, 999))
-    assert blob.slices == []
-    assert blob.materializations == 0
+    token = Token(ring_id=6, hop=41, seq=1000, aru=990, aru_id=3,
+                  fcc=17, rtr=(991, 995, 999))
+    for decoder in DECODERS:
+        blob = tracked(token)
+        assert decoder(blob) == token
+        assert blob.slices == []
+        assert blob.materializations == 0
 
 
 def test_payload_less_data_decode_is_fully_zero_copy():
-    blob = tracked(data_message(payload=None, payload_size=0))
-    assert decode(blob).payload is None
-    assert blob.slices == []
-    assert blob.materializations == 0
+    for decoder in DECODERS:
+        blob = tracked(data_message(payload=None, payload_size=0))
+        assert decoder(blob).payload is None
+        assert blob.slices == []
+        assert blob.materializations == 0
+
+
+def test_jumbo_decode_slices_only_the_inner_payloads():
+    # The UDP transport's receive path: one datagram, many packets.
+    messages = (
+        data_message(seq=1, payload=b"a" * 40, payload_size=40),
+        data_message(seq=2, payload=None, payload_size=0),
+        data_message(seq=3, payload=b"c" * 7, payload_size=7),
+    )
+    raw = codec.encode_jumbo(messages, ring_id=5)
+    expected = []
+    pos = codec.HEADER_SIZE + 4  # past the header and the packet count
+    for message in messages:
+        body_len = len(encode(message)) - codec.HEADER_SIZE
+        pos += codec._JUMBO_ENTRY.size
+        if message.payload is not None:
+            expected.append((pos + codec._DATA_BODY.size, pos + body_len))
+        pos += body_len
+    assert pos == len(raw)
+    for decoder in DECODERS:
+        blob = TrackingBytes(raw)
+        assert decoder(blob) == JumboDatagram(messages)
+        assert blob.slices == expected
+        assert blob.materializations == 0
+    assert decode_detail(raw).ring_id == 5
 
 
 def test_decode_detail_is_zero_copy_on_the_error_path():
@@ -102,16 +134,18 @@ def test_decode_detail_is_zero_copy_on_the_error_path():
 
 def test_decode_accepts_memoryview_without_round_trip():
     raw = encode(data_message())
-    # A memoryview over a *tracked* buffer: the decoder may slice the
-    # view (zero-copy) but must not fall back to bytes(blob) on entry.
-    backing = TrackingBytes(raw)
-    message = decode(memoryview(backing))
-    assert message == data_message()
-    assert backing.materializations == 0
+    token = Token(ring_id=2, rtr=(5,))
+    for decoder in DECODERS:
+        # A memoryview over a *tracked* buffer: the decoder may slice
+        # the view (zero-copy) but must not fall back to bytes(blob) on
+        # entry.
+        backing = TrackingBytes(raw)
+        assert decoder(memoryview(backing)) == data_message()
+        assert backing.materializations == 0
 
-    token_backing = TrackingBytes(encode(Token(ring_id=2, rtr=(5,))))
-    assert decode(memoryview(token_backing)) == Token(ring_id=2, rtr=(5,))
-    assert token_backing.materializations == 0
+        token_backing = TrackingBytes(encode(token))
+        assert decoder(memoryview(token_backing)) == token
+        assert token_backing.materializations == 0
 
 
 def test_decode_detail_accepts_memoryview():
@@ -120,44 +154,3 @@ def test_decode_detail_accepts_memoryview():
     assert detail.kind == "data"
     assert detail.ring_id == 9
     assert detail.message == data_message()
-
-
-def test_frame_view_defers_the_payload_copy():
-    blob = tracked(data_message(payload=b"x" * 64, payload_size=64))
-    view = decode_frame(blob)
-    # Header-only access: seq/pid/size readable, nothing copied yet.
-    assert (view.kind, view.seq, view.pid, view.payload_size) == \
-        ("data", 7, 2, 64)
-    assert blob.slices == []
-    assert blob.materializations == 0
-    # First .message access decodes (and copies) the payload, once.
-    message = view.message
-    assert message.payload == b"x" * 64
-    assert blob.slices == [(PAYLOAD_OFFSET, len(blob))]
-    # Cached: a second access neither re-decodes nor re-copies.
-    assert view.message is message
-    assert len(blob.slices) == 1
-
-
-def test_frame_view_token_header_fields():
-    token = Token(ring_id=6, hop=41, seq=1000, aru=990, fcc=17, rtr=(991,))
-    blob = tracked(token)
-    view = decode_frame(blob)
-    assert (view.kind, view.ring_id, view.seq) == ("token", 6, 1000)
-    assert view.pid is None and view.payload_size == 0
-    assert view.message == token
-    assert blob.materializations == 0
-
-
-def test_frame_view_still_validates_the_envelope():
-    corrupted = bytearray(encode(data_message()))
-    corrupted[-1] ^= 0x01
-    with pytest.raises(DecodeError, match="CRC"):
-        decode_frame(bytes(corrupted))
-
-
-def test_decode_frame_falls_back_to_eager_for_control_frames():
-    from repro.membership.messages import ProbeMessage
-    result = decode_frame(encode(ProbeMessage(sender=3, ring_id=4)))
-    assert result.kind == "probe"
-    assert result.message == ProbeMessage(sender=3, ring_id=4)
